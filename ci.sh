@@ -37,6 +37,28 @@ fi
 go build ./...
 go test -race ./...
 
+# Stencil kernel gate: the factored production kernel must stay at least
+# 1.5x faster than the literal 27-point reference kernel (test code) at
+# 64^3. Both run in one process, five samples each, and the gate bounds the
+# ratio of their medians: host-wide noise slows both sides together, so
+# the ratio holds where absolute GF on a shared host would not.
+bench_out=$(go test -run '^$' -bench 'BenchmarkKernel64' -count 5 ./internal/stencil)
+echo "$bench_out"
+echo "$bench_out" | awk '
+function median(a, n,    i, j, t) {
+    for (i = 1; i < n; i++)
+        for (j = i; j > 0 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+    return (n % 2) ? a[int(n/2)] : (a[n/2-1] + a[n/2]) / 2
+}
+$1 ~ /^BenchmarkKernel64\/factored/ { f[nf++] = $3 }
+$1 ~ /^BenchmarkKernel64\/reference/ { r[nr++] = $3 }
+END {
+    if (nf == 0 || nr == 0) { print "could not read the kernel benchmarks"; exit 1 }
+    ratio = median(r, nr) / median(f, nf)
+    printf "factored kernel %.2fx faster than the 27-point reference (gate 1.5x)\n", ratio
+    if (ratio < 1.5) exit 1
+}'
+
 # Disabled-tracing overhead guard: a nil *obs.Recorder must stay
 # allocation-free (test-asserted) and under the ns/op bound recorded in
 # BENCH_obs.json, so instrumented code paths stay free when untraced.

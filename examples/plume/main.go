@@ -47,8 +47,8 @@ func main() {
 	}
 
 	// The same run with the nonblocking-overlap implementation must land
-	// on the same answer bit for bit up to roundoff: overlap changes the
-	// schedule, never the mathematics.
+	// on the same answer bit for bit: overlap changes the schedule, never
+	// the mathematics or the order of its arithmetic.
 	a, err := advect.Run(advect.BulkSync, p, advect.Options{Tasks: 8, Threads: 2})
 	if err != nil {
 		log.Fatal(err)

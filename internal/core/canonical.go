@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/grid"
+	"repro/internal/stencil"
 )
 
 // fv formats a float in the shortest form that parses back bit-exactly.
@@ -72,11 +73,23 @@ func (o Options) Canonical() string {
 	}, ";")
 }
 
-// Fingerprint returns the hex SHA-256 of a run request's canonical form.
-// Two requests share a fingerprint exactly when they describe the same
-// computation, which makes it a safe content-addressed cache key.
+// kernelSalt folds the stencil kernel's arithmetic version into every
+// fingerprint: a kernel that rounds differently computes different bits
+// from the same request, so the result cache and the session store must
+// not mix its results with an older kernel's. The canonical strings
+// themselves stay unversioned by it, so old checkpoints still parse.
+var kernelSalt = "kernel=" + strconv.Itoa(stencil.KernelVersion)
+
+// Fingerprint returns the hex SHA-256 of a run request's canonical form,
+// salted with the kernel version. Two requests share a fingerprint
+// exactly when they describe the same computation done by the same
+// kernel, which makes it a safe content-addressed cache key.
 func Fingerprint(k Kind, p Problem, o Options) string {
-	sum := sha256.Sum256([]byte(k.String() + "|" + p.Canonical() + "|" + o.Canonical()))
+	return fingerprint(kernelSalt, k, p, o)
+}
+
+func fingerprint(salt string, k Kind, p Problem, o Options) string {
+	sum := sha256.Sum256([]byte(k.String() + "|" + p.Canonical() + "|" + o.Canonical() + "|" + salt))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/stencil"
 )
 
 func testProblems() []Problem {
@@ -131,6 +133,32 @@ func TestFingerprintSensitivity(t *testing.T) {
 		if got := Fingerprint(k, p, o); got == ref {
 			t.Errorf("mutating %s did not change the fingerprint", m.name)
 		}
+	}
+}
+
+// TestFingerprintKernelSalt checks that the kernel version is part of the
+// fingerprint — a request computed by another kernel version hashes
+// differently — while the canonical strings stay salt-free and parseable.
+func TestFingerprintKernelSalt(t *testing.T) {
+	p, o := DefaultProblem(16, 10), Options{Tasks: 2, Threads: 2}
+	if want := "kernel=" + strconv.Itoa(stencil.KernelVersion); kernelSalt != want {
+		t.Fatalf("kernel salt %q, want %q", kernelSalt, want)
+	}
+	fp := Fingerprint(BulkSync, p, o)
+	if fp != fingerprint(kernelSalt, BulkSync, p, o) {
+		t.Fatal("Fingerprint does not use the kernel salt")
+	}
+	if old := fingerprint("kernel="+strconv.Itoa(stencil.KernelVersion-1), BulkSync, p, o); old == fp {
+		t.Fatal("changing the kernel version did not change the fingerprint")
+	}
+	if strings.Contains(p.Canonical(), "kernel") || strings.Contains(o.Canonical(), "kernel") {
+		t.Fatal("kernel salt leaked into the canonical strings")
+	}
+	if _, err := ParseProblemCanonical(p.Canonical()); err != nil {
+		t.Fatalf("canonical problem no longer parses: %v", err)
+	}
+	if _, err := ParseOptionsCanonical(o.Canonical()); err != nil {
+		t.Fatalf("canonical options no longer parse: %v", err)
 	}
 }
 

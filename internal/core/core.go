@@ -370,8 +370,8 @@ type Runner interface {
 	// Kind identifies the implementation.
 	Kind() Kind
 	// Run integrates the problem and returns the result. Implementations
-	// must produce the same final state as the single-task reference up to
-	// roundoff.
+	// must produce the same final state as the single-task reference, bit
+	// for bit.
 	Run(p Problem, o Options) (*Result, error)
 }
 

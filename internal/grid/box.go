@@ -43,16 +43,22 @@ func (b BoxSplit) ShellVolume() int {
 // exclude the z walls; the x walls exclude both. An implementation that
 // overlaps MPI in dimension d with CPU computation of the d walls (paper
 // §IV-I) iterates this slice two at a time. With T == 0 all walls are empty.
+// In a dimension thinner than 2T (the one-point-wide boundary of a thin
+// block) the low wall keeps what fits, the high wall the rest and the
+// walls between them are empty, so the slabs still tile the domain.
 func (b BoxSplit) Walls() []Subdomain {
 	t := b.T
 	n := b.Local
+	low := func(m int) int { return min(t, m) }
+	high := func(m int) int { return max(0, min(t, m-t)) }
+	mid := func(m int) int { return max(0, m-2*t) }
 	return []Subdomain{
-		{Lo: Dims{0, 0, 0}, Size: Dims{n.X, n.Y, t}},
-		{Lo: Dims{0, 0, n.Z - t}, Size: Dims{n.X, n.Y, t}},
-		{Lo: Dims{0, 0, t}, Size: Dims{n.X, t, n.Z - 2*t}},
-		{Lo: Dims{0, n.Y - t, t}, Size: Dims{n.X, t, n.Z - 2*t}},
-		{Lo: Dims{0, t, t}, Size: Dims{t, n.Y - 2*t, n.Z - 2*t}},
-		{Lo: Dims{n.X - t, t, t}, Size: Dims{t, n.Y - 2*t, n.Z - 2*t}},
+		{Lo: Dims{0, 0, 0}, Size: Dims{n.X, n.Y, low(n.Z)}},
+		{Lo: Dims{0, 0, n.Z - high(n.Z)}, Size: Dims{n.X, n.Y, high(n.Z)}},
+		{Lo: Dims{0, 0, t}, Size: Dims{n.X, low(n.Y), mid(n.Z)}},
+		{Lo: Dims{0, n.Y - high(n.Y), t}, Size: Dims{n.X, high(n.Y), mid(n.Z)}},
+		{Lo: Dims{0, t, t}, Size: Dims{low(n.X), mid(n.Y), mid(n.Z)}},
+		{Lo: Dims{n.X - high(n.X), t, t}, Size: Dims{high(n.X), mid(n.Y), mid(n.Z)}},
 	}
 }
 

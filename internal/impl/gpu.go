@@ -35,11 +35,9 @@ func newDevState(dev *gpusim.Device, host vtime.Time, p core.Problem, n grid.Dim
 	s.cur = grid.NewFieldOn(n, halo, s.curBuf.Data())
 	s.nxt = grid.NewFieldOn(n, halo, s.nxtBuf.Data())
 
-	coeffs := stencil.TableI(p.C, p.Nu)
-	flat := coeffs.Flat()
-	host = dev.LoadConstant(host, flat[:])
+	host = dev.LoadConstant(host, stencil.TableI(p.C, p.Nu).Constants())
 	// The kernels read the coefficients back from constant memory.
-	s.op = stencil.NewOp(stencil.FromFlat([27]float64(dev.Constant())), s.cur)
+	s.op = stencil.NewOp(stencil.FromConstants(dev.Constant()), s.cur)
 
 	host = dev.Memcpy(host, gpusim.HostToDevice, s.curBuf, initialUpload(initial, n, halo))
 	return s, host
@@ -127,17 +125,22 @@ func launchInteriorStep(s *devState, stream *gpusim.Stream, host vtime.Time, sub
 // interior kernels: it walks the launch's thread blocks, stages each z
 // slab of the block's tile (with a one-point halo ring, loaded by the halo
 // threads) into a shared-memory tile, and computes Eq. 2 for the interior
-// threads, rotating three tile slabs as z advances. With wrap=true the
-// tile loads wrap around the global domain (periodic single-GPU kernel);
-// otherwise out-of-range loads come from the field's halo storage.
+// threads, rotating three tile slabs as z advances. Each plane first
+// forms a z-sum tile from the three slabs, then every interior thread
+// combines it in y and x — the factored order of stencil.Op, so the GPU
+// and CPU kernels agree bitwise. With wrap=true the tile loads wrap around
+// the global domain (periodic single-GPU kernel); otherwise out-of-range
+// loads come from the field's halo storage.
 func runTiledKernel(op *stencil.Op, cur, nxt *grid.Field, sub grid.Subdomain, bx, by int, wrap bool) {
-	c := op.Coeffs()
+	qx, qy, qz := op.Coeffs().Factors()
 	n := cur.N
 	hi := sub.Hi()
 	tw, th := bx+2, by+2 // tile extents with halo ring
-	km := make([]float64, tw*th)
-	kc := make([]float64, tw*th)
-	kp := make([]float64, tw*th)
+	// Shared memory: three rotating slabs, the z sums of the current
+	// plane, and the y combines of one tile row.
+	smem := make([]float64, 4*tw*th+tw)
+	km, kc, kp := smem[:tw*th], smem[tw*th:2*tw*th], smem[2*tw*th:3*tw*th]
+	zt, yr := smem[3*tw*th:4*tw*th], smem[4*tw*th:]
 
 	wrapIdx := func(v, m int) int { return ((v % m) + m) % m }
 	clamp := func(v, lo, hi int) int {
@@ -150,53 +153,53 @@ func runTiledKernel(op *stencil.Op, cur, nxt *grid.Field, sub grid.Subdomain, bx
 		return v
 	}
 	h := cur.Halo
+	data := cur.Data()
 	load := func(tile []float64, bi0, bj0, k int) {
 		// Every thread of the block, halo threads included, loads one tile
 		// element. Tile entries belonging to inactive threads past the
 		// domain edge are clamped into valid storage; their values are
 		// never read by an active thread.
 		for ty := 0; ty < th; ty++ {
-			gy := bj0 + ty - 1
-			for tx := 0; tx < tw; tx++ {
-				gx := bi0 + tx - 1
-				x, y, z := gx, gy, k
+			y, z := bj0+ty-1, k
+			if wrap {
+				y, z = wrapIdx(y, n.Y), wrapIdx(z, n.Z)
+			} else {
+				y, z = clamp(y, -h, n.Y+h-1), clamp(z, -h, n.Z+h-1)
+			}
+			row := tile[ty*tw : (ty+1)*tw]
+			for tx := range row {
+				x := bi0 + tx - 1
 				if wrap {
-					x, y, z = wrapIdx(x, n.X), wrapIdx(y, n.Y), wrapIdx(z, n.Z)
+					x = wrapIdx(x, n.X)
 				} else {
 					x = clamp(x, -h, n.X+h-1)
-					y = clamp(y, -h, n.Y+h-1)
-					z = clamp(z, -h, n.Z+h-1)
 				}
-				tile[ty*tw+tx] = cur.At(x, y, z)
+				row[tx] = data[cur.Idx(x, y, z)]
 			}
 		}
 	}
 
+	out := nxt.Data()
 	for bj0 := sub.Lo.Y; bj0 < hi.Y; bj0 += by {
 		for bi0 := sub.Lo.X; bi0 < hi.X; bi0 += bx {
+			// Active threads of this block: tile columns 1..ax, rows 1..ay.
+			ax, ay := min(bx, hi.X-bi0), min(by, hi.Y-bj0)
 			// Prime the rotating slabs for the first z iteration.
 			load(km, bi0, bj0, sub.Lo.Z-1)
 			load(kc, bi0, bj0, sub.Lo.Z)
 			for k := sub.Lo.Z; k < hi.Z; k++ {
 				load(kp, bi0, bj0, k+1)
-				for ty := 1; ty < th-1; ty++ {
-					gy := bj0 + ty - 1
-					if gy >= hi.Y {
-						continue // inactive thread past the domain edge
+				for t := range zt {
+					zt[t] = stencil.Combine(qz[0], qz[1], qz[2], km[t], kc[t], kp[t])
+				}
+				for ty := 1; ty <= ay; ty++ {
+					zm, zc, zp := zt[(ty-1)*tw:ty*tw], zt[ty*tw:(ty+1)*tw], zt[(ty+1)*tw:(ty+2)*tw]
+					for tx := 0; tx <= ax+1; tx++ {
+						yr[tx] = stencil.Combine(qy[0], qy[1], qy[2], zm[tx], zc[tx], zp[tx])
 					}
-					for tx := 1; tx < tw-1; tx++ {
-						gx := bi0 + tx - 1
-						if gx >= hi.X {
-							continue
-						}
-						var sum float64
-						for dj := -1; dj <= 1; dj++ {
-							row := (ty+dj)*tw + tx
-							sum += c.At(-1, dj, -1)*km[row-1] + c.At(0, dj, -1)*km[row] + c.At(+1, dj, -1)*km[row+1]
-							sum += c.At(-1, dj, 0)*kc[row-1] + c.At(0, dj, 0)*kc[row] + c.At(+1, dj, 0)*kc[row+1]
-							sum += c.At(-1, dj, +1)*kp[row-1] + c.At(0, dj, +1)*kp[row] + c.At(+1, dj, +1)*kp[row+1]
-						}
-						nxt.Set(gx, gy, k, sum)
+					o := nxt.Idx(bi0, bj0+ty-1, k)
+					for tx := 1; tx <= ax; tx++ {
+						out[o+tx-1] = stencil.Combine(qx[0], qx[1], qx[2], yr[tx-1], yr[tx], yr[tx+1])
 					}
 				}
 				km, kc, kp = kc, kp, km

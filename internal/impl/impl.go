@@ -2,9 +2,11 @@
 // strategies (§IV-A through §IV-I), built on the reproduction's substrates:
 // internal/par in place of OpenMP, internal/mpi in place of MPI, and
 // internal/gpusim in place of CUDA Fortran. Every implementation integrates
-// the same advection problem and must produce the single-task result up to
-// roundoff; the tests enforce this cross-implementation agreement, which is
-// the reproduction's analog of the paper's norm-based verification (§IV-A).
+// the same advection problem with the same factored stencil arithmetic
+// (stencil.Combine, in one fixed order per point) and must reproduce the
+// single-task result bit for bit; the tests enforce this
+// cross-implementation agreement, which is the reproduction's analog of the
+// paper's norm-based verification (§IV-A).
 //
 // These runners establish functional correctness and expose the real
 // concurrency structure (what can overlap with what). The performance of

@@ -1,6 +1,7 @@
 package impl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -377,5 +378,56 @@ func TestTasksPerGPUHybridAgrees(t *testing.T) {
 	agree(t, "hybrid shared device", res.Final, want)
 	if res.Stats["gpu.kernels"] == 0 {
 		t.Fatal("no kernels recorded from the shared pool")
+	}
+}
+
+// bitwiseEqual asserts two fields have identical interiors, bit for bit.
+func bitwiseEqual(t *testing.T, name string, got, want *grid.Field) {
+	t.Helper()
+	if got == nil {
+		t.Fatalf("%s: nil final field", name)
+	}
+	for k := 0; k < want.N.Z; k++ {
+		for j := 0; j < want.N.Y; j++ {
+			for i := 0; i < want.N.X; i++ {
+				if g, w := got.At(i, j, k), want.At(i, j, k); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: (%d,%d,%d) = %v, single-task %v (diff %g)", name, i, j, k, g, w, g-w)
+				}
+			}
+		}
+	}
+}
+
+func TestAllRunnersBitwiseIdentical(t *testing.T) {
+	// Every kernel evaluates each point in the same factored order, so
+	// every runner, decomposition, tiling and CPU/GPU split must reproduce
+	// the single-task interior exactly, not just to roundoff.
+	shapes := []core.Problem{
+		core.DefaultProblem(24, 6),
+		{N: grid.Dims{X: 13, Y: 10, Z: 17}, C: grid.Velocity{X: 0.5, Y: -1, Z: 0.25}, Steps: 4},
+	}
+	configs := []struct {
+		kind core.Kind
+		o    core.Options
+	}{
+		{core.SingleTask, core.Options{Threads: 3}},
+		{core.BulkSync, core.Options{Tasks: 4, Threads: 2}},
+		{core.NonblockingOverlap, core.Options{Tasks: 3, Threads: 2}},
+		{core.NonblockingOverlap, core.Options{Tasks: 5, Threads: 1}},
+		{core.ThreadedOverlap, core.Options{Tasks: 2, Threads: 3}},
+		{core.GPUResident, core.Options{BlockX: 5, BlockY: 3}},
+		{core.GPUBulkSync, core.Options{Tasks: 3, BlockX: 8, BlockY: 4}},
+		{core.GPUStreams, core.Options{Tasks: 2, BlockX: 8, BlockY: 4}},
+		{core.HybridBulkSync, core.Options{Tasks: 2, Threads: 2, BoxThickness: 1, BlockX: 8, BlockY: 4}},
+		{core.HybridOverlap, core.Options{Tasks: 1, Threads: 2, BoxThickness: 1, BlockX: 4, BlockY: 4}},
+		{core.HybridOverlap, core.Options{Tasks: 3, Threads: 2, BoxThickness: 2, BlockX: 8, BlockY: 4}},
+		{core.WideHaloExt, core.Options{Tasks: 4, Threads: 2, HaloWidth: 3}},
+	}
+	for _, p := range shapes {
+		want := run(t, core.SingleTask, p, core.Options{Threads: 1}).Final
+		for _, cfg := range configs {
+			res := run(t, cfg.kind, p, cfg.o)
+			bitwiseEqual(t, fmt.Sprintf("%v %v tasks=%d", cfg.kind, p.N, cfg.o.Tasks), res.Final, want)
+		}
 	}
 }

@@ -313,8 +313,8 @@ type Job struct {
 	// for direct submissions. Set once at submit; read without the mutex.
 	traceID string
 	// background marks a speculative pre-execution (sweep warming): queued
-	// on the background lane, shed before any foreground job waits, and
-	// kept out of the interactive telemetry windows. Set once at submit;
+	// on the background lane, run only by a worker no foreground job is
+	// waiting for, and kept out of the interactive telemetry windows. Set once at submit;
 	// read without the mutex.
 	background bool
 }

@@ -11,9 +11,12 @@ import "sync"
 // The queue has two lanes. The foreground lane carries interactive
 // submissions; the background lane carries speculative work (sweep-warmer
 // pre-executions) that is only worth doing on otherwise-idle workers. Pop
-// always prefers foreground, and background admission sheds itself the
-// moment any foreground job is waiting — speculation never costs an
-// interactive request its place in line.
+// always prefers foreground, so speculation never costs an interactive
+// request its place in line: a background job reaches a worker only when
+// no foreground job waits at that moment. Whether a worker is idle is
+// decided there, at Pop, and not at admission — a prediction made while
+// the foreground job that triggered it still sits in the lane (no worker
+// parked in Pop yet) would otherwise shed itself and never run.
 type Queue struct {
 	mu     sync.Mutex
 	ch     chan *Job
@@ -46,12 +49,11 @@ func (q *Queue) TryPush(j *Job) bool {
 }
 
 // TryPushBackground enqueues the job on the background lane. It reports
-// false — shedding the job — when the queue is closed, any foreground job
-// is waiting, or the lane is full.
+// false — shedding the job — when the queue is closed or the lane is full.
 func (q *Queue) TryPushBackground(j *Job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || len(q.ch) > 0 {
+	if q.closed {
 		return false
 	}
 	select {

@@ -52,3 +52,38 @@ func TestQueueCloseDrains(t *testing.T) {
 		t.Fatalf("drained %v", got)
 	}
 }
+
+// TestQueueBackgroundWaitsBehindForeground pins where the idle decision
+// is made: a prediction admitted while its triggering foreground job
+// still sits in the lane is kept, and Pop serves it only after every
+// foreground job — a worker takes speculative work only when idle.
+func TestQueueBackgroundWaitsBehindForeground(t *testing.T) {
+	q := NewQueue(2)
+	if !q.TryPush(qjob("fg1")) {
+		t.Fatal("foreground push failed")
+	}
+	if !q.TryPushBackground(qjob("bg")) {
+		t.Fatal("background push shed while a foreground job waits")
+	}
+	if !q.TryPush(qjob("fg2")) {
+		t.Fatal("foreground push failed")
+	}
+	var got []string
+	for range 3 {
+		j, ok := q.Pop()
+		if !ok {
+			t.Fatal("queue closed early")
+		}
+		got = append(got, j.ID())
+	}
+	if got[0] != "fg1" || got[1] != "fg2" || got[2] != "bg" {
+		t.Fatalf("pop order %v, want foreground first", got)
+	}
+	if !q.TryPushBackground(qjob("b1")) || !q.TryPushBackground(qjob("b2")) || q.TryPushBackground(qjob("b3")) {
+		t.Fatal("background lane must hold exactly its capacity")
+	}
+	q.Close()
+	if q.TryPushBackground(qjob("late")) {
+		t.Fatal("background push into a closed queue succeeded")
+	}
+}

@@ -434,9 +434,10 @@ func (s *Server) warmFromSubmit(req Request) {
 
 // SubmitBackground admits a speculative pre-execution on the queue's
 // background lane. It is deliberately eager to give up — validation
-// failure, draining, already cached, already in flight, foreground
-// traffic waiting, or a full lane all shed the prediction (counted by the
-// warmer) — because speculation must never displace interactive work.
+// failure, draining, already cached, already in flight, or a full lane
+// all shed the prediction (counted by the warmer). Speculation never
+// displaces interactive work: Pop hands a background job only to a
+// worker with no foreground job waiting.
 func (s *Server) SubmitBackground(req Request) (*Job, bool) {
 	if err := req.Validate(s.cfg.Limits); err != nil {
 		s.warmer.NoteShed()

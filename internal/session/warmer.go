@@ -53,8 +53,8 @@ type WarmerStats struct {
 	Predictions int64 `json:"predictions"`
 	// Warmed counts predictions whose background pre-execution completed.
 	Warmed int64 `json:"warmed"`
-	// Shed counts predictions dropped: foreground traffic had priority, or
-	// the point was already cached or in flight.
+	// Shed counts predictions dropped: the background lane was full or
+	// closed, or the point was already cached or in flight.
 	Shed int64 `json:"shed"`
 	// Hits counts interactive submissions answered from a pre-executed
 	// cache entry — the warmer's payoff.

@@ -1,9 +1,14 @@
 // Package stencil implements the paper's numerical method (§II): explicit
 // Lax–Wendroff time integration of linear advection with constant uniform
 // velocity, using a 3×3×3 stencil whose 27 coefficients are given in
-// Table I. Each application costs 53 floating-point operations per point
-// (27 multiplications and 26 additions), the figure the paper uses to
-// convert measured time into GF.
+// Table I. The paper counts 53 floating-point operations per point (27
+// multiplications and 26 additions), the figure it uses to convert
+// measured time into GF, and every GF number here keeps that count.
+//
+// The coefficients are a tensor product of three one-dimensional
+// Lax–Wendroff stencils, so the production kernel evaluates Eq. 2 as
+// z, y and x sweeps of three-point combines (about 15 flops per point);
+// the literal 27-point sum survives only as the test oracle.
 package stencil
 
 import (
@@ -14,13 +19,22 @@ import (
 )
 
 // FlopsPerPoint is the operation count of Eq. 2 used for all GF numbers:
-// 27 multiplications and 26 additions.
+// 27 multiplications and 26 additions. GF stays paper-equivalent even
+// though the factored kernel executes fewer operations.
 const FlopsPerPoint = 53
 
+// ConstantWords is the number of constant-memory words the GPU kernels
+// read: the 27 coefficients followed by the nine one-dimensional factors
+// (qx, qy, qz, each ordered -1, 0, +1).
+const ConstantWords = 27 + 9
+
 // Coeffs holds the 27 stencil coefficients a_ijk of Eq. 2, indexed by
-// At(i, j, k) with i, j, k ∈ {-1, 0, +1}.
+// At(i, j, k) with i, j, k ∈ {-1, 0, +1}, and the three one-dimensional
+// factor triples whose tensor product they are. The kernels use only the
+// factors.
 type Coeffs struct {
 	a [27]float64
+	q [3][3]float64 // q[0]=qx, q[1]=qy, q[2]=qz, each (q-1, q0, q+1)
 }
 
 // At returns a_ijk for offsets i, j, k ∈ {-1, 0, +1}.
@@ -78,15 +92,37 @@ func TableI(c grid.Velocity, nu float64) *Coeffs {
 	set(+1, +1, -1, cx*cy*cz*v*v*v*(-1+cx*v)*(-1+cy*v)*(1+cz*v)/8)
 	set(+1, +1, 0, -2*cx*cy*v*v*(-1+cx*v)*(-1+cy*v)*(-1+cz*cz*v*v)/8)
 	set(+1, +1, +1, cx*cy*cz*v*v*v*(-1+cx*v)*(-1+cy*v)*(-1+cz*v)/8)
+	a.q = factors(c, nu)
 	return &a
 }
 
-// FromFlat rebuilds a coefficient set from the flat layout produced by
-// Flat. The GPU implementations use it to read the coefficients back out
-// of simulated constant memory, as the CUDA kernels do.
-func FromFlat(flat [27]float64) *Coeffs {
+// Factors returns the one-dimensional Lax–Wendroff triples (q-1, q0, q+1)
+// in x, y and z: a_ijk = qx[i+1]·qy[j+1]·qz[k+1].
+func (c *Coeffs) Factors() (qx, qy, qz [3]float64) { return c.q[0], c.q[1], c.q[2] }
+
+// Constants returns the constant-memory image of the coefficient set:
+// Flat followed by qx, qy and qz, ConstantWords values in all.
+func (c *Coeffs) Constants() []float64 {
+	out := make([]float64, 0, ConstantWords)
+	out = append(out, c.a[:]...)
+	for _, q := range c.q {
+		out = append(out, q[:]...)
+	}
+	return out
+}
+
+// FromConstants rebuilds a coefficient set from the layout produced by
+// Constants. The GPU implementations use it to read the coefficients back
+// out of simulated constant memory, as the CUDA kernels do.
+func FromConstants(v []float64) *Coeffs {
+	if len(v) != ConstantWords {
+		panic(fmt.Sprintf("stencil: %d constant words, want %d", len(v), ConstantWords))
+	}
 	var c Coeffs
-	c.a = flat
+	copy(c.a[:], v)
+	for d := range c.q {
+		copy(c.q[d][:], v[27+3*d:])
+	}
 	return &c
 }
 
@@ -102,11 +138,8 @@ func LW1D(sigma float64) (qm1, q0, qp1 float64) {
 // roundoff; the reproduction keeps both forms so the literal transcription
 // of the paper's table is itself under test.
 func TensorProduct(c grid.Velocity, nu float64) *Coeffs {
-	var qx, qy, qz [3]float64
-	qx[0], qx[1], qx[2] = LW1D(c.X * nu)
-	qy[0], qy[1], qy[2] = LW1D(c.Y * nu)
-	qz[0], qz[1], qz[2] = LW1D(c.Z * nu)
-	var a Coeffs
+	a := Coeffs{q: factors(c, nu)}
+	qx, qy, qz := a.Factors()
 	for k := -1; k <= 1; k++ {
 		for j := -1; j <= 1; j++ {
 			for i := -1; i <= 1; i++ {
@@ -115,6 +148,14 @@ func TensorProduct(c grid.Velocity, nu float64) *Coeffs {
 		}
 	}
 	return &a
+}
+
+// factors returns the LW1D triples for the Courant numbers in x, y and z.
+func factors(c grid.Velocity, nu float64) (q [3][3]float64) {
+	for d, cd := range [3]float64{c.X, c.Y, c.Z} {
+		q[d][0], q[d][1], q[d][2] = LW1D(cd * nu)
+	}
+	return q
 }
 
 // Sum returns the sum of all coefficients. Consistency of the scheme

@@ -2,106 +2,68 @@ package stencil
 
 import "repro/internal/grid"
 
+// KernelVersion identifies the arithmetic order of the production kernel.
+// Results change at roundoff whenever it changes, so content-addressed
+// keys (core.Fingerprint) fold it in. Version 1 was the literal 27-point
+// sum; version 2 is the factored z, y, x sweep.
+const KernelVersion = 2
+
 // Op is a prepared stencil application bound to a coefficient set and a
-// field shape: the 27 (flat-offset, coefficient) pairs for fields with the
-// given strides. Preparing once per run mirrors the paper's constant
-// coefficients ("the values of a_ijk are the same for every grid point and
-// time step").
+// field shape: the three one-dimensional factor triples and the z stride
+// of fields shaped like the one it was built for. Preparing once
+// per run mirrors the paper's constant coefficients ("the values of a_ijk
+// are the same for every grid point and time step"). An Op is immutable,
+// so concurrent ApplyRows calls may share it.
 type Op struct {
-	c    *Coeffs
-	offs [27]int
-	w    [27]float64
+	c          *Coeffs
+	sz         int
+	qx, qy, qz [3]float64
 }
 
 // NewOp prepares an Op for fields shaped like f.
 func NewOp(c *Coeffs, f *grid.Field) *Op {
-	op := &Op{c: c}
-	sx, sy, sz := f.Strides()
-	n := 0
-	for k := -1; k <= 1; k++ {
-		for j := -1; j <= 1; j++ {
-			for i := -1; i <= 1; i++ {
-				op.offs[n] = i*sx + j*sy + k*sz
-				op.w[n] = c.At(i, j, k)
-				n++
-			}
-		}
-	}
+	_, _, sz := f.Strides()
+	op := &Op{c: c, sz: sz}
+	op.qx, op.qy, op.qz = c.Factors()
 	return op
 }
 
 // Coeffs returns the coefficient set the Op was prepared with.
 func (op *Op) Coeffs() *Coeffs { return op.c }
 
-// Point computes Eq. 2 for the single point (i, j, k): the weighted sum of
-// the 27 neighbors of src, returned (not stored).
+// Combine is the one-dimensional Lax–Wendroff combine q-1·a + q0·b + q+1·c,
+// the only arithmetic the production kernels use to advance the field.
+// Every point goes through z, then y, then x combines in this fixed
+// order, so every kernel, tiling and decomposition yields the same bits.
+// The explicit conversions forbid fused multiply-adds, which would let
+// the compiler round differently at different call sites.
+func Combine(qm, q0, qp, a, b, c float64) float64 {
+	return float64(qm*a) + float64(q0*b) + float64(qp*c)
+}
+
+// Point computes Eq. 2 for the single point (i, j, k) of src and returns
+// it (not stored), in the same factored order as Apply, so the two agree
+// bitwise.
 func (op *Op) Point(src *grid.Field, i, j, k int) float64 {
-	base := src.Idx(i, j, k)
 	d := src.Data()
-	var s float64
-	for n := 0; n < 27; n++ {
-		s += op.w[n] * d[base+op.offs[n]]
-	}
-	return s
-}
-
-// Apply computes Eq. 2 for every point of sub (local coordinates, must lie
-// within the interior of src) reading src and writing dst. src and dst must
-// have identical shape and must not alias. The inner x loop is unrolled
-// over the three z-planes of the stencil so a row of points makes three
-// sequential passes over contiguous memory, the access pattern the paper's
-// Fortran kernel relies on for locality.
-func (op *Op) Apply(src, dst *grid.Field, sub grid.Subdomain) {
-	if sub.Empty() {
-		return
-	}
-	s := src.Data()
-	d := dst.Data()
-	hi := sub.Hi()
-	for k := sub.Lo.Z; k < hi.Z; k++ {
-		for j := sub.Lo.Y; j < hi.Y; j++ {
-			base := src.Idx(sub.Lo.X, j, k)
-			out := dst.Idx(sub.Lo.X, j, k)
-			nx := sub.Size.X
-			applyRow(s, d[out:out+nx], base, nx, &op.offs, &op.w)
+	qy, qz := op.qy, op.qz
+	var y [3]float64
+	for di := -1; di <= 1; di++ {
+		var z [3]float64
+		for dj := -1; dj <= 1; dj++ {
+			p := src.Idx(i+di, j+dj, k)
+			z[dj+1] = Combine(qz[0], qz[1], qz[2], d[p-op.sz], d[p], d[p+op.sz])
 		}
+		y[di+1] = Combine(qy[0], qy[1], qy[2], z[0], z[1], z[2])
 	}
+	return Combine(op.qx[0], op.qx[1], op.qx[2], y[0], y[1], y[2])
 }
 
-// applyRow computes one x-row of Eq. 2. Factored out so the compiler keeps
-// the 27 weights in registers across the row.
-func applyRow(s []float64, dst []float64, base, nx int, offs *[27]int, w *[27]float64) {
-	for i := 0; i < nx; i++ {
-		p := base + i
-		sum := w[0] * s[p+offs[0]]
-		sum += w[1] * s[p+offs[1]]
-		sum += w[2] * s[p+offs[2]]
-		sum += w[3] * s[p+offs[3]]
-		sum += w[4] * s[p+offs[4]]
-		sum += w[5] * s[p+offs[5]]
-		sum += w[6] * s[p+offs[6]]
-		sum += w[7] * s[p+offs[7]]
-		sum += w[8] * s[p+offs[8]]
-		sum += w[9] * s[p+offs[9]]
-		sum += w[10] * s[p+offs[10]]
-		sum += w[11] * s[p+offs[11]]
-		sum += w[12] * s[p+offs[12]]
-		sum += w[13] * s[p+offs[13]]
-		sum += w[14] * s[p+offs[14]]
-		sum += w[15] * s[p+offs[15]]
-		sum += w[16] * s[p+offs[16]]
-		sum += w[17] * s[p+offs[17]]
-		sum += w[18] * s[p+offs[18]]
-		sum += w[19] * s[p+offs[19]]
-		sum += w[20] * s[p+offs[20]]
-		sum += w[21] * s[p+offs[21]]
-		sum += w[22] * s[p+offs[22]]
-		sum += w[23] * s[p+offs[23]]
-		sum += w[24] * s[p+offs[24]]
-		sum += w[25] * s[p+offs[25]]
-		sum += w[26] * s[p+offs[26]]
-		dst[i] = sum
-	}
+// Apply computes Eq. 2 for every point of sub (local coordinates; the
+// stencil of every point must lie within src's storage) reading src and
+// writing dst. src and dst must have identical shape and must not alias.
+func (op *Op) Apply(src, dst *grid.Field, sub grid.Subdomain) {
+	op.ApplyRows(src, dst, sub, 0, Rows(sub))
 }
 
 // Rows returns the number of x-rows in sub, the iteration count for
@@ -112,21 +74,76 @@ func Rows(sub grid.Subdomain) int { return sub.Size.Y * sub.Size.Z }
 // ApplyRows computes Eq. 2 for the x-rows of sub with flattened (k, j)
 // indices in [lo, hi). Row r corresponds to k = sub.Lo.Z + r/sub.Size.Y and
 // j = sub.Lo.Y + r%sub.Size.Y. Disjoint row ranges touch disjoint dst
-// memory, so concurrent calls need no locking.
+// memory, so concurrent calls need no locking. The range is swept one
+// k-plane run of consecutive rows at a time, rolling z sums across j.
 func (op *Op) ApplyRows(src, dst *grid.Field, sub grid.Subdomain, lo, hi int) {
 	if sub.Empty() {
 		return
 	}
-	s := src.Data()
-	d := dst.Data()
 	ny := sub.Size.Y
-	nx := sub.Size.X
-	for r := lo; r < hi; r++ {
-		k := sub.Lo.Z + r/ny
-		j := sub.Lo.Y + r%ny
-		base := src.Idx(sub.Lo.X, j, k)
-		out := dst.Idx(sub.Lo.X, j, k)
-		applyRow(s, d[out:out+nx], base, nx, &op.offs, &op.w)
+	for r := lo; r < hi; {
+		kk, j0 := r/ny, r%ny
+		j1 := ny
+		if rest := hi - (r - j0); rest < ny {
+			j1 = rest
+		}
+		op.sweepPlane(src, dst, sub, sub.Lo.Z+kk, sub.Lo.Y+j0, sub.Lo.Y+j1)
+		r += j1 - j0
+	}
+}
+
+// rowChunk bounds the x extent swept at once, so the rolling z-sum rows
+// fit in a fixed stack buffer and ApplyRows never allocates.
+const rowChunk = 256
+
+// sweepPlane computes rows j ∈ [j0, j1) of plane k over sub's x range.
+// For each x chunk it keeps the z sums Z(x, j-1), Z(x, j), Z(x, j+1) of
+// the chunk (with a one-point x margin) in three rotating rows: each step
+// in j computes one new z-sum row, then one y combine per column and one
+// x combine per point.
+func (op *Op) sweepPlane(src, dst *grid.Field, sub grid.Subdomain, k, j0, j1 int) {
+	s, d := src.Data(), dst.Data()
+	qx, qy, qz := op.qx, op.qy, op.qz
+	sz := op.sz
+	var buf [3][rowChunk + 2]float64
+	for x0 := sub.Lo.X; x0 < sub.Lo.X+sub.Size.X; x0 += rowChunk {
+		w := min(rowChunk, sub.Lo.X+sub.Size.X-x0)
+		zm, zc, zp := buf[0][:w+2], buf[1][:w+2], buf[2][:w+2]
+		zSums(zm, s, src.Idx(x0-1, j0-1, k), sz, &qz)
+		zSums(zc, s, src.Idx(x0-1, j0, k), sz, &qz)
+		for j := j0; j < j1; j++ {
+			zSums(zp, s, src.Idx(x0-1, j+1, k), sz, &qz)
+			out := dst.Idx(x0, j, k)
+			xyRow(d[out:out+w], zm, zc, zp, &qx, &qy)
+			zm, zc, zp = zc, zp, zm
+		}
+	}
+}
+
+// zSums fills z[i] with the z combine of the source column at base+i.
+func zSums(z, s []float64, base, sz int, q *[3]float64) {
+	n := len(z)
+	lo, mid, hi := s[base-sz:base-sz+n], s[base:base+n], s[base+sz:base+sz+n]
+	qm, q0, qp := q[0], q[1], q[2]
+	for i := range z {
+		z[i] = Combine(qm, q0, qp, lo[i], mid[i], hi[i])
+	}
+}
+
+// xyRow writes one output row: out[i] combines in x the y combines of
+// the z-sum rows at columns i, i+1, i+2 (the rows carry a one-point
+// margin on each side), rolling the y combines along the row.
+func xyRow(out, zm, zc, zp []float64, qx, qy *[3]float64) {
+	n := len(out)
+	zm, zc, zp = zm[:n+2], zc[:n+2], zp[:n+2]
+	xm, x0, xp := qx[0], qx[1], qx[2]
+	ym, y0, yp := qy[0], qy[1], qy[2]
+	a := Combine(ym, y0, yp, zm[0], zc[0], zp[0])
+	b := Combine(ym, y0, yp, zm[1], zc[1], zp[1])
+	for i := range out {
+		c := Combine(ym, y0, yp, zm[i+2], zc[i+2], zp[i+2])
+		out[i] = Combine(xm, x0, xp, a, b, c)
+		a, b = b, c
 	}
 }
 

@@ -190,30 +190,42 @@ func TestSecondOrderConvergence(t *testing.T) {
 }
 
 func TestInteriorAndBoundaryTile(t *testing.T) {
-	n := grid.Dims{X: 7, Y: 6, Z: 5}
-	in := Interior(n)
-	slabs := BoundarySlabs(n)
-	seen := make(map[[3]int]int)
-	mark := func(s grid.Subdomain) {
-		hi := s.Hi()
-		for k := s.Lo.Z; k < hi.Z; k++ {
-			for j := s.Lo.Y; j < hi.Y; j++ {
-				for i := s.Lo.X; i < hi.X; i++ {
-					seen[[3]int{i, j, k}]++
+	// Thin domains (a hybrid GPU block one or two points thick) included:
+	// their boundary slabs must still tile the domain without overlap and
+	// with no negative extent, or buffers sized by slab volume come up short.
+	for _, n := range []grid.Dims{{X: 7, Y: 6, Z: 5}, {X: 7, Y: 6, Z: 1}, {X: 1, Y: 6, Z: 5}, {X: 7, Y: 2, Z: 5}, {X: 2, Y: 1, Z: 3}} {
+		in := Interior(n)
+		slabs := BoundarySlabs(n)
+		seen := make(map[[3]int]int)
+		vol := 0
+		mark := func(s grid.Subdomain) {
+			hi := s.Hi()
+			for k := s.Lo.Z; k < hi.Z; k++ {
+				for j := s.Lo.Y; j < hi.Y; j++ {
+					for i := s.Lo.X; i < hi.X; i++ {
+						seen[[3]int{i, j, k}]++
+					}
 				}
 			}
 		}
-	}
-	mark(in)
-	for _, s := range slabs {
-		mark(s)
-	}
-	if len(seen) != n.Volume() {
-		t.Fatalf("covered %d of %d points", len(seen), n.Volume())
-	}
-	for p, c := range seen {
-		if c != 1 {
-			t.Fatalf("point %v covered %d times", p, c)
+		if !in.Empty() {
+			mark(in)
+			vol += in.Volume()
+		}
+		for _, s := range slabs {
+			if s.Size.X < 0 || s.Size.Y < 0 || s.Size.Z < 0 {
+				t.Fatalf("%v: slab %v has a negative extent", n, s)
+			}
+			mark(s)
+			vol += s.Volume()
+		}
+		if len(seen) != n.Volume() || vol != n.Volume() {
+			t.Fatalf("%v: covered %d points with volume %d, domain has %d", n, len(seen), vol, n.Volume())
+		}
+		for p, c := range seen {
+			if c != 1 {
+				t.Fatalf("%v: point %v covered %d times", n, p, c)
+			}
 		}
 	}
 }
