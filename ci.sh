@@ -4,6 +4,21 @@
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
 
+# ns_gate BENCHMARK PACKAGE BENCH_FILE JSON_KEY LABEL runs BENCHMARK in
+# PACKAGE for 10^6 iterations and fails unless its ns/op stays within the
+# bound recorded under JSON_KEY in BENCH_FILE; LABEL names the guarded
+# path in the failure message.
+ns_gate() {
+    max_ns=$(sed -n "s/.*\"$4\": *\([0-9.]*\).*/\1/p" "$3")
+    bench_out=$(go test -run '^$' -bench "$1" -benchtime 1000000x "$2")
+    echo "$bench_out"
+    ns=$(echo "$bench_out" | awk -v b="^$1" '$1 ~ b {print $3}')
+    awk -v ns="$ns" -v max="$max_ns" -v label="$5" 'BEGIN {
+    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
+    if (ns + 0 > max + 0) { printf "%s %s ns/op exceeds bound %s\n", label, ns, max; exit 1 }
+}'
+}
+
 # Formatting gate: gofmt must have nothing to rewrite.
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -63,28 +78,14 @@ END {
 # allocation-free (test-asserted) and under the ns/op bound recorded in
 # BENCH_obs.json, so instrumented code paths stay free when untraced.
 go test -run TestDisabledRecorderAllocatesNothing -count=1 ./internal/obs
-max_ns=$(sed -n 's/.*"disabled_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_obs.json)
-bench_out=$(go test -run '^$' -bench BenchmarkRecorderDisabled -benchtime 1000000x ./internal/obs)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkRecorderDisabled/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "disabled-tracing path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+ns_gate BenchmarkRecorderDisabled ./internal/obs BENCH_obs.json disabled_max_ns_per_op "disabled-tracing path"
 
 # Disabled-telemetry overhead guard: the same contract for the rolling
 # windows behind /v1/stats — a nil *telemetry.Window must stay
 # allocation-free (enabled Observe too, test-asserted) and under the
 # ns/op bound recorded in BENCH_telemetry.json.
 go test -run TestWindowObserveAllocatesNothing -count=1 ./internal/telemetry
-max_ns=$(sed -n 's/.*"disabled_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_telemetry.json)
-bench_out=$(go test -run '^$' -bench BenchmarkWindowDisabled -benchtime 1000000x ./internal/telemetry)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkWindowDisabled/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "disabled-telemetry path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+ns_gate BenchmarkWindowDisabled ./internal/telemetry BENCH_telemetry.json disabled_max_ns_per_op "disabled-telemetry path"
 
 # Disabled-flight-recorder overhead guard: with -flight negative a nil
 # *flight.Recorder and *flight.Engine ride every job and log line; the
@@ -92,14 +93,7 @@ awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
 # allocation-free (test-asserted) and under the ns/op bound recorded in
 # BENCH_flight.json.
 go test -run TestFlightDisabledAllocatesNothing -count=1 ./internal/flight
-max_ns=$(sed -n 's/.*"disabled_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_flight.json)
-bench_out=$(go test -run '^$' -bench BenchmarkFlightDisabled -benchtime 1000000x ./internal/flight)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkFlightDisabled/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "disabled-flight path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+ns_gate BenchmarkFlightDisabled ./internal/flight BENCH_flight.json disabled_max_ns_per_op "disabled-flight path"
 
 # Cluster crash-safety gate: a 3-node cluster must survive losing a node
 # mid-run (every accepted job completes exactly once, fingerprint-deduped)
@@ -113,14 +107,7 @@ go test -race -run 'TestClusterKillNodeMidRun|TestClusterDrainGraceful' -count=1
 # stay allocation-free (test-asserted) and under the ns/op bound recorded
 # in BENCH_gateway.json, so cluster tracing costs nothing when off.
 go test -run TestGatewayTraceDisabledAllocatesNothing -count=1 ./internal/cluster
-max_ns=$(sed -n 's/.*"disabled_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_gateway.json)
-bench_out=$(go test -run '^$' -bench BenchmarkGatewayTraceDisabled -benchtime 1000000x ./internal/cluster)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkGatewayTraceDisabled/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "disabled-cluster-tracing path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+ns_gate BenchmarkGatewayTraceDisabled ./internal/cluster BENCH_gateway.json disabled_max_ns_per_op "disabled-cluster-tracing path"
 
 # Cluster trace golden gate: one traced job through a 2-node cluster with
 # a mid-run failover must yield a single Chrome trace whose per-process
@@ -136,22 +123,8 @@ go test -run TestClusterTraceFailoverGolden -count=1 ./internal/cluster
 # (test-asserted) and under the ns/op bound recorded in
 # BENCH_session.json.
 go test -run 'TestSessionStatusAllocationBounded|TestWarmerIdleAllocationFree' -count=1 ./internal/session
-max_ns=$(sed -n 's/.*"status_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_session.json)
-bench_out=$(go test -run '^$' -bench BenchmarkSessionStatus -benchtime 1000000x ./internal/session)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkSessionStatus/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "session status path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
-max_ns=$(sed -n 's/.*"warmer_idle_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_session.json)
-bench_out=$(go test -run '^$' -bench BenchmarkWarmerIdle -benchtime 1000000x ./internal/session)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkWarmerIdle/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "warmer idle path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+ns_gate BenchmarkSessionStatus ./internal/session BENCH_session.json status_max_ns_per_op "session status path"
+ns_gate BenchmarkWarmerIdle ./internal/session BENCH_session.json warmer_idle_max_ns_per_op "warmer idle path"
 
 # Session durability gate: a mid-run daemon crash must resume from the
 # last durable checkpoint and finish bitwise-identical to an
@@ -166,11 +139,4 @@ go test -race -run 'TestClusterSessionFailover' -count=1 ./internal/cluster
 # submission and must stay allocation-free (test-asserted) and under the
 # ns/op bound recorded in BENCH_cluster.json.
 go test -run TestRingLookupAllocationFree -count=1 ./internal/cluster
-max_ns=$(sed -n 's/.*"lookup_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_cluster.json)
-bench_out=$(go test -run '^$' -bench BenchmarkRingLookup -benchtime 1000000x ./internal/cluster)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkRingLookup/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "ring lookup %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+ns_gate BenchmarkRingLookup ./internal/cluster BENCH_cluster.json lookup_max_ns_per_op "ring lookup"

@@ -120,11 +120,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	status := http.StatusAccepted
-	if view.State == service.StateDone { // owner answered from its cache
-		status = http.StatusOK
-	}
-	writeJSON(w, status, labelledViewOf(view, nodeID))
+	writeJSON(w, service.SubmitStatus(view), labelledViewOf(view, nodeID))
 }
 
 // labelledView decorates a node's job view with the shard that holds it.

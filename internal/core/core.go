@@ -139,7 +139,7 @@ func (k Kind) UsesGPU() bool { return k >= GPUResident && k < numKinds }
 
 // UsesCPUCompute reports whether CPUs compute grid points.
 func (k Kind) UsesCPUCompute() bool {
-	return k <= ThreadedOverlap || k == HybridBulkSync || k == HybridOverlap
+	return k <= ThreadedOverlap || k == HybridBulkSync || k == HybridOverlap || k == WideHaloExt
 }
 
 // ParseKind converts a string produced by Kind.String back to a Kind.

@@ -239,11 +239,7 @@ func runFig2(w io.Writer) error {
 		if r.PaperExact {
 			exact = "stated"
 		}
-		ours := "-"
-		if r.Ours > 0 {
-			ours = fmt.Sprint(r.Ours)
-		}
-		t.AddRow(r.Kind.String(), r.Kind.Section(), fmt.Sprint(r.Paper), exact, ours)
+		t.AddRow(r.Kind.String(), r.Kind.Section(), fmt.Sprint(r.Paper), exact, fmt.Sprint(r.Ours))
 	}
 	t.Render(w)
 	single, _ := loc.PaperLoC(core.SingleTask)

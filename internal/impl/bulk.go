@@ -1,14 +1,12 @@
 package impl
 
 import (
-	"sync"
-	"time"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/stencil"
 )
 
@@ -21,131 +19,72 @@ type bulkSync struct{}
 func (bulkSync) Kind() core.Kind { return core.BulkSync }
 
 func (bulkSync) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	return runMPI(core.BulkSync, p, o, func(rc rankCtx) {
-		whole := stencil.Whole(rc.cur.N)
-		rows := stencil.Rows(whole)
-		for s := 0; s < rc.p.Steps; s++ {
-			checkCancelRank(rc.o)
-			rc.ex.setStep(s)
-			rc.ex.exchangeAll()
-			sp := rc.span(s, obs.PhaseInterior, "whole")
-			rc.team.ParallelFor(rows, par.Static, 0, func(lo, hi int) {
-				rc.op.ApplyRows(rc.cur, rc.nxt, whole, lo, hi)
-			})
-			sp.End()
-			sp = rc.span(s, obs.PhaseCopy, "")
-			rc.team.ParallelFor(rows, par.Static, 0, func(lo, hi int) {
-				copyRows(rc.nxt, rc.cur, whole, lo, hi)
-			})
-			sp.End()
-		}
+	return runWorld(core.BulkSync, p, o, func(r *rank) *grid.Field {
+		cs := r.cpuState(1)
+		ex := r.haloExchanger(cs.cur)
+		whole := stencil.Whole(cs.cur.N)
+		r.timed(func() {
+			for s := 0; s < r.p.Steps; s++ {
+				checkCancelRank(r.o)
+				ex.setStep(s)
+				ex.exchangeAll()
+				sp := r.span(s, obs.PhaseInterior, "whole")
+				cs.compute(whole)
+				sp.End()
+				sp = r.span(s, obs.PhaseCopy, "")
+				cs.commit(whole)
+				sp.End()
+			}
+		})
+		r.distributedNorms(cs)
+		return cs.cur
 	})
 }
 
-// rankCtx is the per-rank state handed to an MPI implementation's step
-// loop.
-type rankCtx struct {
-	p     core.Problem
-	o     core.Options
-	c     *mpi.Comm
-	d     grid.Decomp
-	sub   grid.Subdomain
-	team  *par.Team
-	cur   *grid.Field
-	nxt   *grid.Field
-	op    *stencil.Op
-	ex    *exchanger
-	stats map[string]float64 // optional extra stats from the rank
-}
-
-// span opens a wall-clock span attributed to this rank (no-op when the run
-// carries no recorder).
-func (rc rankCtx) span(step int, ph obs.Phase, label string) obs.Active {
-	return rc.o.Rec.Begin(rc.c.Rank(), step, ph, label)
-}
-
-// runMPI is the shared scaffold of the CPU MPI implementations: it spawns
-// the world, builds each rank's local state, runs the provided step loop
-// with the paper's barrier-bracketed timing, gathers the result on rank 0,
-// and aggregates communication statistics.
-func runMPI(kind core.Kind, p core.Problem, o core.Options, steps func(rankCtx)) (*core.Result, error) {
-	p, err := p.Normalize()
-	if err != nil {
-		return nil, err
+// distributedNorms computes the error norms against the analytic solution
+// the way a real MPI code does (paper §IV-A records norms): each rank
+// reduces its own subdomain with the thread team, then the squared sums
+// and maxima are combined across ranks with Allreduce. With Verify, every
+// rank records the global norms as its dist.l2 and dist.linf stats.
+func (r *rank) distributedNorms(cs *cpuState) {
+	if !r.o.Verify {
+		return
 	}
-	o = o.Normalize()
-	if err := checkMPIOptions(p, o); err != nil {
-		return nil, err
-	}
-	d := grid.NewDecomp(p.N, o.Tasks)
-	w := mpi.NewWorld(o.Tasks)
-
-	var (
-		mu       sync.Mutex
-		final    *grid.Field
-		elapsed  time.Duration
-		msgs     float64
-		values   float64
-		distL2   float64
-		distLInf float64
-	)
-	runErr := safeWorldRun(w, func(c *mpi.Comm) {
-		sub := d.Sub(c.Rank())
-		team := par.NewTeam(o.Threads)
-		defer team.Close()
-		cur := grid.NewField(sub.Size, 1)
-		fillLocal(cur, p, sub)
-		nxt := grid.NewField(sub.Size, 1)
-		rc := rankCtx{
-			p: p, o: o, c: c, d: d, sub: sub, team: team,
-			cur: cur, nxt: nxt,
-			op: opFor(p, cur),
-			ex: newExchanger(c, d, cur),
+	p, sub, local := r.p, r.sub, cs.cur
+	tFinal := p.T0 + p.Nu*float64(p.Steps)
+	rows := sub.Size.Y * sub.Size.Z
+	sumsq := cs.team.ReduceSum(rows, func(lo, hi int) float64 {
+		var s float64
+		for row := lo; row < hi; row++ {
+			k := row / sub.Size.Y
+			j := row % sub.Size.Y
+			for i := 0; i < sub.Size.X; i++ {
+				d := local.At(i, j, k) - p.Wave.Analytic(p.N, p.C, tFinal,
+					sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k)
+				s += d * d
+			}
 		}
-		rc.ex.setObs(o.Rec)
-		team.SetRecorder(o.Rec, c.Rank())
-
-		// "We perform a barrier immediately before measuring the start
-		// time and the end time."
-		c.Barrier()
-		t0 := time.Now()
-		steps(rc)
-		c.Barrier()
-		dt := time.Since(t0)
-
-		var dnorms grid.Norms
-		if o.Verify {
-			tFinal := p.T0 + p.Nu*float64(p.Steps)
-			dnorms = distributedNorms(c, team, p, sub, cur, tFinal)
-		}
-		g := gather(c, d, cur)
-		st := c.Stats()
-		mu.Lock()
-		msgs += float64(st.SentMessages)
-		values += float64(st.SentValues)
-		if c.Rank() == 0 {
-			final = g
-			elapsed = dt
-			distL2, distLInf = dnorms.L2, dnorms.LInf
-		}
-		mu.Unlock()
+		return s
 	})
-
-	if runErr != nil {
-		return nil, cancelOr(o, runErr)
-	}
-	res := &core.Result{Kind: kind, Final: final, Stats: map[string]float64{
-		"tasks":         float64(o.Tasks),
-		"threads":       float64(o.Threads),
-		"mpi.messages":  msgs,
-		"mpi.values":    values,
-		"mpi.bytes":     values * 8,
-		"mpi.msgs/step": msgs / float64(max(1, p.Steps)),
-	}}
-	if o.Verify {
-		res.Stats["dist.l2"] = distL2
-		res.Stats["dist.linf"] = distLInf
-	}
-	finishResult(res, p, o, elapsed, globalMass(p))
-	return res, nil
+	maxAbs := cs.team.ReduceMax(rows, func(lo, hi int) float64 {
+		var m float64
+		for row := lo; row < hi; row++ {
+			k := row / sub.Size.Y
+			j := row % sub.Size.Y
+			for i := 0; i < sub.Size.X; i++ {
+				d := math.Abs(local.At(i, j, k) - p.Wave.Analytic(p.N, p.C, tFinal,
+					sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k))
+				if d > m {
+					m = d
+				}
+			}
+		}
+		return m
+	})
+	vals := []float64{sumsq}
+	r.c.Allreduce(mpi.OpSum, vals)
+	maxv := []float64{maxAbs}
+	r.c.Allreduce(mpi.OpMax, maxv)
+	r.extra["dist.l2"] = math.Sqrt(vals[0] / float64(p.N.Volume()))
+	r.extra["dist.linf"] = maxv[0]
 }

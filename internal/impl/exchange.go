@@ -27,10 +27,13 @@ type exchanger struct {
 
 var dimNames = [3]string{"x", "y", "z"}
 
-// setObs attaches the span recorder to the exchanger and its communicator.
-func (e *exchanger) setObs(r *obs.Recorder) {
-	e.rec = r
-	e.c.SetRecorder(r)
+// haloExchanger builds the halo exchanger over the rank's field f, recording
+// into the run's recorder.
+func (r *rank) haloExchanger(f *grid.Field) *exchanger {
+	e := newExchanger(r.c, r.d, f)
+	e.rec = r.o.Rec
+	e.c.SetRecorder(r.o.Rec)
+	return e
 }
 
 // setStep tags this step's spans — the exchanger's pack/unpack/exchange

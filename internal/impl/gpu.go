@@ -43,6 +43,14 @@ func newDevState(dev *gpusim.Device, host vtime.Time, p core.Problem, n grid.Dim
 	return s, host
 }
 
+// upload puts a device state over an n-point domain on the rank's device,
+// initialized from f, and advances the rank's host clock past the copy.
+func (r *rank) upload(n grid.Dims, halo int, f *grid.Field) *devState {
+	st, h := newDevState(r.dev, r.host.Now(), r.p, n, halo, f)
+	r.host.Set(h)
+	return st
+}
+
 // initialUpload lays the initial field out in the device buffer's shape.
 func initialUpload(f *grid.Field, n grid.Dims, halo int) []float64 {
 	size := (n.X + 2*halo) * (n.Y + 2*halo) * (n.Z + 2*halo)
@@ -359,11 +367,11 @@ func copyLaunch(points, bx, by int) gpusim.Launch {
 	}
 }
 
-// gpuBlocks sanity-checks a block size against a device.
-func checkBlock(dev *gpusim.Device, n grid.Dims, bx, by int) error {
-	l := gpusim.StencilLaunch(n.X, n.Y, n.Z, bx, by)
-	if err := l.Validate(dev.Props); err != nil {
-		return fmt.Errorf("impl: block %dx%d invalid: %w", bx, by, err)
+// checkBlock panics unless the run's thread block is a valid launch over
+// an n-point domain on the rank's device.
+func (r *rank) checkBlock(n grid.Dims) {
+	l := gpusim.StencilLaunch(n.X, n.Y, n.Z, r.o.BlockX, r.o.BlockY)
+	if err := l.Validate(r.dev.Props); err != nil {
+		panic(fmt.Errorf("impl: block %dx%d invalid: %w", r.o.BlockX, r.o.BlockY, err))
 	}
-	return nil
 }

@@ -3,6 +3,7 @@ package impl
 import (
 	"repro/internal/core"
 	"repro/internal/gpusim"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/stencil"
 )
@@ -39,70 +40,85 @@ func (gpuStreams) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	return runGPUMPI(core.GPUStreams, p, o, true)
 }
 
-// runGPUMPI is the shared body of §IV-F and §IV-G.
+// runGPUMPI is the shared schedule of §IV-F and §IV-G: the task's whole
+// subdomain lives on the device, and the CPU keeps a host-side shadow
+// field whose shell holds the boundary data in flight between GPU and
+// network.
 func runGPUMPI(kind core.Kind, p core.Problem, o core.Options, overlap bool) (*core.Result, error) {
-	return runMPIGPU(kind, p, o, func(rc gpuRankCtx) {
-		n := rc.sub.Size
+	return runWorld(kind, p, o, func(r *rank) *grid.Field {
+		n := r.sub.Size
+		r.checkBlock(n)
+		local := grid.NewField(n, 1)
+		r.fill(local)
+		shadow := local.Clone()
+		st := r.upload(n, 1, local)
+		defer st.free()
+		ex := r.haloExchanger(shadow)
+
 		wallSubs := stencil.BoundarySlabs(n)
 		hSubs := haloSlabs(n, 1)
 		interior := stencil.Interior(n)
-
-		wallBuf := rc.dev.Alloc(subsVolume(wallSubs))
-		haloBuf := rc.dev.Alloc(subsVolume(hSubs))
-		defer rc.dev.Free(wallBuf)
-		defer rc.dev.Free(haloBuf)
+		dev, host, bx, by := r.dev, &r.host, r.o.BlockX, r.o.BlockY
+		wallBuf := dev.Alloc(subsVolume(wallSubs))
+		haloBuf := dev.Alloc(subsVolume(hSubs))
+		defer dev.Free(wallBuf)
+		defer dev.Free(haloBuf)
 		hostWall := make([]float64, wallBuf.Len())
 		hostHalo := make([]float64, haloBuf.Len())
 
-		s1 := rc.dev.NewStream("interior")
+		s1 := dev.NewStream("interior")
 		s2 := s1
 		if overlap {
-			s2 = rc.dev.NewStream("boundary")
+			s2 = dev.NewStream("boundary")
 		}
 
-		for step := 0; step < rc.p.Steps; step++ {
-			checkCancelRank(rc.o)
-			rc.ex.setStep(step)
-			if overlap {
-				// §IV-G: interior kernel first, so it runs while the CPU
-				// communicates.
-				sp := rc.span(step, obs.PhaseLaunch, "interior")
-				rc.host.Set(launchInteriorStep(rc.st, s1, rc.host.Now(), interior, rc.o.BlockX, rc.o.BlockY))
+		r.timed(func() {
+			for step := 0; step < r.p.Steps; step++ {
+				checkCancelRank(r.o)
+				ex.setStep(step)
+				if overlap {
+					// §IV-G: interior kernel first, so it runs while the
+					// CPU communicates.
+					sp := r.span(step, obs.PhaseLaunch, "interior")
+					host.Set(launchInteriorStep(st, s1, host.Now(), interior, bx, by))
+					sp.End()
+				}
+
+				// CPU-side MPI exchange over the shadow shell.
+				ex.exchangeAll()
+
+				// Upload the assembled halo shell and run the boundary work.
+				sp := r.span(step, obs.PhaseHaloPack, "shell")
+				packSubs(shadow, hSubs, hostHalo)
 				sp.End()
+				if overlap {
+					host.Set(dev.MemcpyAsync(host.Now(), s2, gpusim.HostToDevice, haloBuf, hostHalo))
+				} else {
+					host.Set(dev.Memcpy(host.Now(), gpusim.HostToDevice, haloBuf, hostHalo))
+				}
+				host.Set(launchHaloUnpack(st, s2, host.Now(), "halo unpack", hSubs, haloBuf, bx, by))
+				host.Set(launchWallCompute(st, s2, host.Now(), "faces", wallSubs, wallBuf, bx, by))
+
+				if overlap {
+					host.Set(dev.MemcpyAsync(host.Now(), s2, gpusim.DeviceToHost, wallBuf, hostWall))
+				} else {
+					// §IV-F: interior kernel after the boundary work, still
+					// on the single stream.
+					host.Set(launchInteriorStep(st, s1, host.Now(), interior, bx, by))
+					host.Set(s1.Synchronize(host.Now()))
+					host.Set(dev.Memcpy(host.Now(), gpusim.DeviceToHost, wallBuf, hostWall))
+				}
+
+				// End of step: synchronize the streams, land the new
+				// boundary in the shadow shell, flip the state buffers.
+				host.Set(dev.Synchronize(host.Now(), s1, s2))
+				sp = r.span(step, obs.PhaseHaloUnpack, "shell")
+				unpackSubs(shadow, wallSubs, hostWall)
+				sp.End()
+				st.flip()
 			}
-
-			// CPU-side MPI exchange over the shadow shell.
-			rc.ex.exchangeAll()
-
-			// Upload the assembled halo shell and run the boundary work.
-			sp := rc.span(step, obs.PhaseHaloPack, "shell")
-			packSubs(rc.shadow, hSubs, hostHalo)
-			sp.End()
-			if overlap {
-				rc.host.Set(rc.dev.MemcpyAsync(rc.host.Now(), s2, gpusim.HostToDevice, haloBuf, hostHalo))
-			} else {
-				rc.host.Set(rc.dev.Memcpy(rc.host.Now(), gpusim.HostToDevice, haloBuf, hostHalo))
-			}
-			rc.host.Set(launchHaloUnpack(rc.st, s2, rc.host.Now(), "halo unpack", hSubs, haloBuf, rc.o.BlockX, rc.o.BlockY))
-			rc.host.Set(launchWallCompute(rc.st, s2, rc.host.Now(), "faces", wallSubs, wallBuf, rc.o.BlockX, rc.o.BlockY))
-
-			if overlap {
-				rc.host.Set(rc.dev.MemcpyAsync(rc.host.Now(), s2, gpusim.DeviceToHost, wallBuf, hostWall))
-			} else {
-				// §IV-F: interior kernel after the boundary work, still on
-				// the single stream.
-				rc.host.Set(launchInteriorStep(rc.st, s1, rc.host.Now(), interior, rc.o.BlockX, rc.o.BlockY))
-				rc.host.Set(s1.Synchronize(rc.host.Now()))
-				rc.host.Set(rc.dev.Memcpy(rc.host.Now(), gpusim.DeviceToHost, wallBuf, hostWall))
-			}
-
-			// End of step: synchronize the streams, land the new boundary
-			// in the shadow shell, flip the state buffers.
-			rc.host.Set(rc.dev.Synchronize(rc.host.Now(), s1, s2))
-			sp = rc.span(step, obs.PhaseHaloUnpack, "shell")
-			unpackSubs(rc.shadow, wallSubs, hostWall)
-			sp.End()
-			rc.st.flip()
-		}
+		})
+		host.Set(st.download(host.Now(), local))
+		return local
 	})
 }

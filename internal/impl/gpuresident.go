@@ -2,7 +2,6 @@ package impl
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gpusim"
@@ -55,62 +54,28 @@ type gpuResident struct{}
 func (gpuResident) Kind() core.Kind { return core.GPUResident }
 
 func (gpuResident) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	p, err := p.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	o = o.Normalize()
-	if o.Tasks != 1 {
+	if o.Tasks > 1 {
 		return nil, fmt.Errorf("impl: GPU-resident implementation is single task, got %d", o.Tasks)
 	}
-	dev := newDeviceFor(o)
-	if err := checkBlock(dev, p.N, o.BlockX, o.BlockY); err != nil {
-		return nil, err
-	}
-	traces := poolTraces([]*gpusim.Device{dev}, o)
-
-	initial := grid.NewField(p.N, 1)
-	initial.Fill(func(i, j, k int) float64 { return p.InitialValue(i, j, k) })
-	mass0 := initial.InteriorSum()
-
-	var host gpusim.HostClock
-	st, h := newDevState(dev, 0, p, p.N, 0, initial)
-	host.Set(h)
-	defer st.free()
-	stream := dev.NewStream("compute")
-
-	// "The CPU and GPU synchronize immediately before timer calls."
-	host.Set(dev.Synchronize(host.Now(), stream))
-	simStart := host.Now()
-	wallStart := time.Now()
-	for s := 0; s < p.Steps; s++ {
-		if err := o.CheckCancel(); err != nil {
-			return nil, fmt.Errorf("impl: run cancelled at step %d: %w", s, err)
-		}
-		sp := o.Rec.Begin(0, s, obs.PhaseLaunch, "resident")
-		host.Set(launchResidentStep(st, stream, host.Now(), o.BlockX, o.BlockY))
-		sp.End()
-		st.flip()
-	}
-	host.Set(dev.Synchronize(host.Now(), stream))
-	elapsed := time.Since(wallStart)
-	simElapsed := (host.Now() - simStart).Seconds()
-
-	final := grid.NewField(p.N, 1)
-	host.Set(st.download(host.Now(), final))
-
-	res := &core.Result{Kind: core.GPUResident, Final: final, Stats: map[string]float64{
-		"blockx":      float64(o.BlockX),
-		"blocky":      float64(o.BlockY),
-		"gpu.kernels": float64(dev.Kernels),
-		"sim.seconds": simElapsed,
-	}}
-	for k, v := range mergedOverlapStats(traces) {
-		res.Stats[k] = v
-	}
-	if simElapsed > 0 {
-		res.Stats["sim.gf"] = p.Flops() * float64(p.Steps) / simElapsed / 1e9
-	}
-	finishResult(res, p, o, elapsed, mass0)
-	return res, nil
+	return runWorld(core.GPUResident, p, o, func(r *rank) *grid.Field {
+		r.checkBlock(r.sub.Size)
+		local := grid.NewField(r.sub.Size, 1)
+		r.fill(local)
+		st := r.upload(r.sub.Size, 0, local)
+		defer st.free()
+		stream := r.dev.NewStream("compute")
+		r.timed(func() {
+			for s := 0; s < r.p.Steps; s++ {
+				checkCancelRank(r.o)
+				sp := r.span(s, obs.PhaseLaunch, "resident")
+				r.host.Set(launchResidentStep(st, stream, r.host.Now(), r.o.BlockX, r.o.BlockY))
+				sp.End()
+				st.flip()
+			}
+			// "The CPU and GPU synchronize immediately before timer calls."
+			r.host.Set(r.dev.Synchronize(r.host.Now(), stream))
+		})
+		r.host.Set(st.download(r.host.Now(), local))
+		return local
+	})
 }

@@ -1,16 +1,10 @@
 package impl
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/stencil"
 )
 
@@ -46,70 +40,27 @@ func (h hybridRunner) Kind() core.Kind {
 }
 
 func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	p, err := p.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	o = o.Normalize()
-	if err := checkMPIOptions(p, o); err != nil {
-		return nil, err
-	}
-	d := grid.NewDecomp(p.N, o.Tasks)
-	// Every rank must be able to carve a GPU block out of its subdomain.
-	for r := 0; r < o.Tasks; r++ {
-		if _, err := grid.NewBoxSplit(d.Sub(r).Size, o.BoxThickness); err != nil {
-			return nil, fmt.Errorf("impl: rank %d: %w", r, err)
-		}
-	}
-	w := mpi.NewWorld(o.Tasks)
-
-	kind := h.Kind()
-	pool := devicePool(o, o.Tasks)
-	traces := poolTraces(pool, o)
-	var (
-		mu      sync.Mutex
-		final   *grid.Field
-		elapsed time.Duration
-		simSec  float64
-		msgs    float64
-		values  float64
-	)
-	runErr := safeWorldRun(w, func(c *mpi.Comm) {
-		sub := d.Sub(c.Rank())
-		local := sub.Size
-		box, err := grid.NewBoxSplit(local, o.BoxThickness)
+	return runWorld(h.Kind(), p, o, func(r *rank) *grid.Field {
+		local := r.sub.Size
+		// The rank must be able to carve a GPU block out of its subdomain.
+		box, err := grid.NewBoxSplit(local, r.o.BoxThickness)
 		if err != nil {
 			panic(err)
 		}
 		inner := box.Inner()
+		r.checkBlock(inner.Size)
+		r.extra["thickness"] = float64(r.o.BoxThickness)
 
-		dev := deviceFor(pool, o, c.Rank())
-		if err := checkBlock(dev, inner.Size, o.BlockX, o.BlockY); err != nil {
-			panic(err)
-		}
-		team := par.NewTeam(o.Threads)
-		defer team.Close()
-		team.SetRecorder(o.Rec, c.Rank())
-
-		cpuCur := grid.NewField(local, 1)
-		fillLocal(cpuCur, p, sub)
-		cpuNxt := grid.NewField(local, 1)
-		op := opFor(p, cpuCur)
-		ex := newExchanger(c, d, cpuCur)
-		ex.setObs(o.Rec)
-		rank := c.Rank()
-		span := func(step int, ph obs.Phase, label string) obs.Active {
-			return o.Rec.Begin(rank, step, ph, label)
-		}
+		cs := r.cpuState(1)
+		ex := r.haloExchanger(cs.cur)
+		dev, host, bx, by := r.dev, &r.host, r.o.BlockX, r.o.BlockY
 
 		// Device state over the inner block.
 		blockInit := grid.NewField(inner.Size, 1)
 		blockInit.Fill(func(i, j, k int) float64 {
-			return cpuCur.At(inner.Lo.X+i, inner.Lo.Y+j, inner.Lo.Z+k)
+			return cs.cur.At(inner.Lo.X+i, inner.Lo.Y+j, inner.Lo.Z+k)
 		})
-		var host gpusim.HostClock
-		st, h0 := newDevState(dev, 0, p, inner.Size, 1, blockInit)
-		host.Set(h0)
+		st := r.upload(inner.Size, 1, blockInit)
 		defer st.free()
 
 		// Geometry, all reusable across steps.
@@ -141,168 +92,100 @@ func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) 
 			s2 = dev.NewStream("boundary")
 		}
 
-		computeSub := func(subd grid.Subdomain, dst *grid.Field) {
-			if subd.Empty() {
-				return
-			}
-			team.ParallelFor(stencil.Rows(subd), par.Static, 0, func(lo, hi int) {
-				op.ApplyRows(cpuCur, dst, subd, lo, hi)
-			})
-		}
-		copySub := func(subd grid.Subdomain) {
-			if subd.Empty() {
-				return
-			}
-			team.ParallelFor(stencil.Rows(subd), par.Static, 0, func(lo, hi int) {
-				copyRows(cpuNxt, cpuCur, subd, lo, hi)
-			})
-		}
-
-		c.Barrier()
-		simStart := host.Now()
-		t0 := time.Now()
-		for step := 0; step < p.Steps; step++ {
-			checkCancelRank(o)
-			ex.setStep(step)
-			if !h.overlap {
-				// §IV-H: all exchanges up front, synchronously.
-				// Inner boundary: GPU block outer layer → CPU field.
-				sp := span(step, obs.PhaseLaunch, "pack outer")
-				host.Set(launchPackKernel(st, s1, host.Now(), "pack outer", outerGPU, outBuf, o.BlockX, o.BlockY))
-				host.Set(s1.Synchronize(host.Now()))
-				host.Set(dev.Memcpy(host.Now(), gpusim.DeviceToHost, outBuf, hostOut))
-				sp.End()
-				sp = span(step, obs.PhaseHaloUnpack, "inner")
-				unpackSubs(cpuCur, outerCPU, hostOut)
-				sp.End()
-				// Inner halo: CPU ring → GPU halo shell.
-				sp = span(step, obs.PhaseHaloPack, "ring")
-				packSubs(cpuCur, ringCPU, hostRing)
-				sp.End()
-				host.Set(dev.Memcpy(host.Now(), gpusim.HostToDevice, ringBuf, hostRing))
-				host.Set(launchHaloUnpack(st, s1, host.Now(), "ring unpack", ringGPU, ringBuf, o.BlockX, o.BlockY))
-				// Outer halo: MPI with the neighbor tasks.
-				ex.exchangeAll()
-				// GPU kernels for the block; CPU computes the shell
-				// meanwhile (the kernels are asynchronous).
-				host.Set(launchWallCompute(st, s1, host.Now(), "block faces", outerGPU, nil, o.BlockX, o.BlockY))
-				host.Set(launchInteriorStep(st, s1, host.Now(), blockInterior, o.BlockX, o.BlockY))
-				sp = span(step, obs.PhaseInterior, "shell")
-				for _, wsub := range walls {
-					computeSub(wsub, cpuNxt)
-				}
-				sp.End()
-				host.Set(dev.Synchronize(host.Now(), s1))
-			} else {
-				// §IV-I: maximum overlap.
-				// 1. GPU interior kernel, stream 1.
-				sp := span(step, obs.PhaseLaunch, "interior")
-				host.Set(launchInteriorStep(st, s1, host.Now(), blockInterior, o.BlockX, o.BlockY))
-				sp.End()
-				// 2. Asynchronous inner-halo traffic and boundary kernels,
-				// stream 2. The download is staged and landed after the
-				// CPU has finished reading the current ring.
-				sp = span(step, obs.PhaseHaloPack, "ring")
-				packSubs(cpuCur, ringCPU, hostRing)
-				sp.End()
-				host.Set(dev.MemcpyAsync(host.Now(), s2, gpusim.HostToDevice, ringBuf, hostRing))
-				host.Set(launchHaloUnpack(st, s2, host.Now(), "ring unpack", ringGPU, ringBuf, o.BlockX, o.BlockY))
-				host.Set(launchWallCompute(st, s2, host.Now(), "block faces", outerGPU, outBuf, o.BlockX, o.BlockY))
-				host.Set(dev.MemcpyAsync(host.Now(), s2, gpusim.DeviceToHost, outBuf, hostOut))
-				// 3. MPI in each dimension overlapped with the CPU interior
-				// wall points of that dimension.
-				for dim := 0; dim < 3; dim++ {
-					ph := ex.start(dim)
-					sp = span(step, obs.PhaseInterior, "walls."+dimNames[dim])
-					for _, wsub := range innerWalls[dim] {
-						computeSub(wsub, cpuNxt)
+		r.timed(func() {
+			for step := 0; step < r.p.Steps; step++ {
+				checkCancelRank(r.o)
+				ex.setStep(step)
+				if !h.overlap {
+					// §IV-H: all exchanges up front, synchronously.
+					// Inner boundary: GPU block outer layer → CPU field.
+					sp := r.span(step, obs.PhaseLaunch, "pack outer")
+					host.Set(launchPackKernel(st, s1, host.Now(), "pack outer", outerGPU, outBuf, bx, by))
+					host.Set(s1.Synchronize(host.Now()))
+					host.Set(dev.Memcpy(host.Now(), gpusim.DeviceToHost, outBuf, hostOut))
+					sp.End()
+					sp = r.span(step, obs.PhaseHaloUnpack, "inner")
+					unpackSubs(cs.cur, outerCPU, hostOut)
+					sp.End()
+					// Inner halo: CPU ring → GPU halo shell.
+					sp = r.span(step, obs.PhaseHaloPack, "ring")
+					packSubs(cs.cur, ringCPU, hostRing)
+					sp.End()
+					host.Set(dev.Memcpy(host.Now(), gpusim.HostToDevice, ringBuf, hostRing))
+					host.Set(launchHaloUnpack(st, s1, host.Now(), "ring unpack", ringGPU, ringBuf, bx, by))
+					// Outer halo: MPI with the neighbor tasks.
+					ex.exchangeAll()
+					// GPU kernels for the block; CPU computes the shell
+					// meanwhile (the kernels are asynchronous).
+					host.Set(launchWallCompute(st, s1, host.Now(), "block faces", outerGPU, nil, bx, by))
+					host.Set(launchInteriorStep(st, s1, host.Now(), blockInterior, bx, by))
+					sp = r.span(step, obs.PhaseInterior, "shell")
+					for _, wsub := range walls {
+						cs.compute(wsub)
 					}
 					sp.End()
-					ex.finish(ph)
+					host.Set(dev.Synchronize(host.Now(), s1))
+				} else {
+					// §IV-I: maximum overlap.
+					// 1. GPU interior kernel, stream 1.
+					sp := r.span(step, obs.PhaseLaunch, "interior")
+					host.Set(launchInteriorStep(st, s1, host.Now(), blockInterior, bx, by))
+					sp.End()
+					// 2. Asynchronous inner-halo traffic and boundary kernels,
+					// stream 2. The download is staged and landed after the
+					// CPU has finished reading the current ring.
+					sp = r.span(step, obs.PhaseHaloPack, "ring")
+					packSubs(cs.cur, ringCPU, hostRing)
+					sp.End()
+					host.Set(dev.MemcpyAsync(host.Now(), s2, gpusim.HostToDevice, ringBuf, hostRing))
+					host.Set(launchHaloUnpack(st, s2, host.Now(), "ring unpack", ringGPU, ringBuf, bx, by))
+					host.Set(launchWallCompute(st, s2, host.Now(), "block faces", outerGPU, outBuf, bx, by))
+					host.Set(dev.MemcpyAsync(host.Now(), s2, gpusim.DeviceToHost, outBuf, hostOut))
+					// 3. MPI in each dimension overlapped with the CPU interior
+					// wall points of that dimension.
+					for dim := 0; dim < 3; dim++ {
+						ph := ex.start(dim)
+						sp = r.span(step, obs.PhaseInterior, "walls."+dimNames[dim])
+						for _, wsub := range innerWalls[dim] {
+							cs.compute(wsub)
+						}
+						sp.End()
+						ex.finish(ph)
+					}
+					// 4. Outer boundary points, then stream synchronization.
+					sp = r.span(step, obs.PhaseBoundary, "outer")
+					for _, bsub := range domainBoundary {
+						cs.compute(bsub)
+					}
+					sp.End()
+					host.Set(dev.Synchronize(host.Now(), s1, s2))
+					// Land the new block outer layer for the next step's shell
+					// computation.
+					sp = r.span(step, obs.PhaseHaloUnpack, "inner")
+					unpackSubs(cs.nxt, outerCPU, hostOut)
+					sp.End()
 				}
-				// 4. Outer boundary points, then stream synchronization.
-				sp = span(step, obs.PhaseBoundary, "outer")
-				for _, bsub := range domainBoundary {
-					computeSub(bsub, cpuNxt)
-				}
-				sp.End()
-				host.Set(dev.Synchronize(host.Now(), s1, s2))
-				// Land the new block outer layer for the next step's shell
-				// computation.
-				sp = span(step, obs.PhaseHaloUnpack, "inner")
-				unpackSubs(cpuNxt, outerCPU, hostOut)
-				sp.End()
-			}
 
-			// Commit the step: flip the GPU buffers; copy the CPU-owned
-			// regions of the next state into the current state.
-			st.flip()
-			sp := span(step, obs.PhaseCopy, "")
-			for _, wsub := range walls {
-				copySub(wsub)
-			}
-			if h.overlap {
-				for _, osub := range outerCPU {
-					copySub(osub)
+				// Commit the step: flip the GPU buffers; copy the CPU-owned
+				// regions of the next state into the current state.
+				st.flip()
+				sp := r.span(step, obs.PhaseCopy, "")
+				for _, wsub := range walls {
+					cs.commit(wsub)
 				}
+				if h.overlap {
+					for _, osub := range outerCPU {
+						cs.commit(osub)
+					}
+				}
+				sp.End()
 			}
-			sp.End()
-		}
-		c.Barrier()
-		dt := time.Since(t0)
-		simDt := (host.Now() - simStart).Seconds()
+		})
 
 		// Assemble the rank's full local field: CPU shell + GPU block.
 		blockFinal := grid.NewField(inner.Size, 1)
 		host.Set(st.download(host.Now(), blockFinal))
-		for k := 0; k < inner.Size.Z; k++ {
-			for j := 0; j < inner.Size.Y; j++ {
-				for i := 0; i < inner.Size.X; i++ {
-					cpuCur.Set(inner.Lo.X+i, inner.Lo.Y+j, inner.Lo.Z+k, blockFinal.At(i, j, k))
-				}
-			}
-		}
-		g := gather(c, d, cpuCur)
-		stats := c.Stats()
-		mu.Lock()
-		msgs += float64(stats.SentMessages)
-		values += float64(stats.SentValues)
-		if simDt > simSec {
-			simSec = simDt
-		}
-		if c.Rank() == 0 {
-			final = g
-			elapsed = dt
-		}
-		mu.Unlock()
+		placeInterior(cs.cur, inner.Lo, blockFinal)
+		return cs.cur
 	})
-
-	if runErr != nil {
-		return nil, cancelOr(o, runErr)
-	}
-	var kernels, pciByte float64
-	for _, dev := range pool {
-		kernels += float64(dev.Kernels)
-		pciByte += float64(dev.BytesH2D + dev.BytesD2H)
-	}
-	res := &core.Result{Kind: kind, Final: final, Stats: map[string]float64{
-		"tasks":        float64(o.Tasks),
-		"threads":      float64(o.Threads),
-		"thickness":    float64(o.BoxThickness),
-		"blockx":       float64(o.BlockX),
-		"blocky":       float64(o.BlockY),
-		"mpi.messages": msgs,
-		"mpi.bytes":    values * 8,
-		"gpu.kernels":  kernels,
-		"pcie.bytes":   pciByte,
-		"sim.seconds":  simSec,
-	}}
-	for k, v := range mergedOverlapStats(traces) {
-		res.Stats[k] = v
-	}
-	if simSec > 0 {
-		res.Stats["sim.gf"] = p.Flops() * float64(p.Steps) / simSec / 1e9
-	}
-	finishResult(res, p, o, elapsed, globalMass(p))
-	return res, nil
 }

@@ -1,12 +1,20 @@
 // Package impl contains functional implementations of the paper's nine
-// strategies (§IV-A through §IV-I), built on the reproduction's substrates:
-// internal/par in place of OpenMP, internal/mpi in place of MPI, and
-// internal/gpusim in place of CUDA Fortran. Every implementation integrates
-// the same advection problem with the same factored stencil arithmetic
-// (stencil.Combine, in one fixed order per point) and must reproduce the
-// single-task result bit for bit; the tests enforce this
-// cross-implementation agreement, which is the reproduction's analog of the
-// paper's norm-based verification (§IV-A).
+// strategies (§IV-A through §IV-I) and a tenth, the wide-halo extension,
+// built on the reproduction's substrates: internal/par in place of OpenMP,
+// internal/mpi in place of MPI, and internal/gpusim in place of CUDA
+// Fortran.
+//
+// All ten runners share one scaffold, runWorld: it owns the world of
+// ranks, each rank's thread team and device, the barrier-bracketed timing,
+// the gather and the statistics, so a runner is only its schedule — its
+// fields and its step loop. Single-task and GPU-resident run as one-rank
+// worlds through the same path.
+//
+// Every implementation integrates the same advection problem with the same
+// factored stencil arithmetic (stencil.Combine, in one fixed order per
+// point) and must reproduce the single-task result bit for bit; the tests
+// enforce this cross-implementation agreement, which is the reproduction's
+// analog of the paper's norm-based verification (§IV-A).
 //
 // These runners establish functional correctness and expose the real
 // concurrency structure (what can overlap with what). The performance of
@@ -21,8 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/par"
-	"repro/internal/stencil"
 )
 
 func init() {
@@ -37,50 +43,8 @@ func init() {
 	core.Register(core.HybridOverlap, func() core.Runner { return hybridRunner{overlap: true} })
 }
 
-// fillLocal initializes a rank's local field from the global initial
-// condition (the Gaussian wave, or a checkpointed state): local point
-// (i,j,k) is global point sub.Lo + (i,j,k).
-func fillLocal(f *grid.Field, p core.Problem, sub grid.Subdomain) {
-	f.Fill(func(i, j, k int) float64 {
-		return p.InitialValue(sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k)
-	})
-}
-
-// gather assembles the global field on rank 0 from each rank's local
-// interior; other ranks return nil.
-func gather(c *mpi.Comm, d grid.Decomp, local *grid.Field) *grid.Field {
-	flat := make([]float64, local.N.Volume())
-	n := 0
-	for k := 0; k < local.N.Z; k++ {
-		for j := 0; j < local.N.Y; j++ {
-			for i := 0; i < local.N.X; i++ {
-				flat[n] = local.At(i, j, k)
-				n++
-			}
-		}
-	}
-	parts := c.Gather(0, flat)
-	if c.Rank() != 0 {
-		return nil
-	}
-	global := grid.NewField(d.N, 1)
-	for r := 0; r < d.Tasks(); r++ {
-		sub := d.Sub(r)
-		src := parts[r]
-		n := 0
-		for k := 0; k < sub.Size.Z; k++ {
-			for j := 0; j < sub.Size.Y; j++ {
-				for i := 0; i < sub.Size.X; i++ {
-					global.Set(sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k, src[n])
-					n++
-				}
-			}
-		}
-	}
-	return global
-}
-
-// finishResult fills the verification and throughput fields of a result.
+// finishResult fills the verification and throughput fields of a result;
+// initialMass is the interior sum of the initial field (Verify only).
 func finishResult(res *core.Result, p core.Problem, o core.Options, elapsed time.Duration, initialMass float64) {
 	res.Elapsed = elapsed
 	if s := elapsed.Seconds(); s > 0 {
@@ -95,82 +59,15 @@ func finishResult(res *core.Result, p core.Problem, o core.Options, elapsed time
 	}
 }
 
-// globalMass returns the initial mass of the problem, for drift checks.
-func globalMass(p core.Problem) float64 {
-	if p.Initial != nil {
-		return p.Initial.InteriorSum()
-	}
-	f := grid.NewField(p.N, 1)
-	grid.FillGaussian(f, p.Wave)
-	return f.InteriorSum()
-}
-
 // checkMPIOptions validates distributed-run options against the problem.
 func checkMPIOptions(p core.Problem, o core.Options) error {
 	if o.Tasks < 1 {
 		return fmt.Errorf("impl: task count %d < 1", o.Tasks)
 	}
-	min := p.N.X
-	if p.N.Y < min {
-		min = p.N.Y
-	}
-	if p.N.Z < min {
-		min = p.N.Z
-	}
-	if o.Tasks > min {
+	if o.Tasks > min(p.N.X, p.N.Y, p.N.Z) {
 		return fmt.Errorf("impl: %d tasks too many for grid %v (subdomains thinner than the stencil)", o.Tasks, p.N)
 	}
 	return nil
-}
-
-// opFor prepares the stencil operator for fields shaped like f.
-func opFor(p core.Problem, f *grid.Field) *stencil.Op {
-	return stencil.NewOp(stencil.TableI(p.C, p.Nu), f)
-}
-
-// distributedNorms computes the error norms against the analytic solution
-// the way a real MPI code does (paper §IV-A records norms): each rank
-// reduces its own subdomain with the thread team, then the squared sums
-// and maxima are combined across ranks with Allreduce. Every rank returns
-// the same global norms.
-func distributedNorms(c *mpi.Comm, team *par.Team, p core.Problem, sub grid.Subdomain, local *grid.Field, tFinal float64) grid.Norms {
-	rows := sub.Size.Y * sub.Size.Z
-	sumsq := team.ReduceSum(rows, func(lo, hi int) float64 {
-		var s float64
-		for r := lo; r < hi; r++ {
-			k := r / sub.Size.Y
-			j := r % sub.Size.Y
-			for i := 0; i < sub.Size.X; i++ {
-				d := local.At(i, j, k) - p.Wave.Analytic(p.N, p.C, tFinal,
-					sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k)
-				s += d * d
-			}
-		}
-		return s
-	})
-	maxAbs := team.ReduceMax(rows, func(lo, hi int) float64 {
-		var m float64
-		for r := lo; r < hi; r++ {
-			k := r / sub.Size.Y
-			j := r % sub.Size.Y
-			for i := 0; i < sub.Size.X; i++ {
-				d := math.Abs(local.At(i, j, k) - p.Wave.Analytic(p.N, p.C, tFinal,
-					sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k))
-				if d > m {
-					m = d
-				}
-			}
-		}
-		return m
-	})
-	vals := []float64{sumsq}
-	c.Allreduce(mpi.OpSum, vals)
-	maxv := []float64{maxAbs}
-	c.Allreduce(mpi.OpMax, maxv)
-	return grid.Norms{
-		L2:   math.Sqrt(vals[0] / float64(p.N.Volume())),
-		LInf: maxv[0],
-	}
 }
 
 // checkCancelRank polls the run's cancellation context from inside a rank

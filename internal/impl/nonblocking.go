@@ -2,8 +2,8 @@ package impl
 
 import (
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/stencil"
 )
 
@@ -19,41 +19,36 @@ type nonblockingOverlap struct{}
 func (nonblockingOverlap) Kind() core.Kind { return core.NonblockingOverlap }
 
 func (nonblockingOverlap) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	return runMPI(core.NonblockingOverlap, p, o, func(rc rankCtx) {
-		thirds := stencil.InteriorThirds(rc.cur.N)
-		boundary := stencil.BoundarySlabs(rc.cur.N)
-		for s := 0; s < rc.p.Steps; s++ {
-			checkCancelRank(rc.o)
-			rc.ex.setStep(s)
-			for dim := 0; dim < 3; dim++ {
-				ph := rc.ex.start(dim)
-				sub := thirds[dim]
-				sp := rc.span(s, obs.PhaseInterior, "third."+dimNames[dim])
-				rc.team.ParallelFor(stencil.Rows(sub), par.Static, 0, func(lo, hi int) {
-					rc.op.ApplyRows(rc.cur, rc.nxt, sub, lo, hi)
-				})
-				sp.End()
-				rc.ex.finish(ph)
-			}
-			// "The threads compute the boundary points after the
-			// communication."
-			sp := rc.span(s, obs.PhaseBoundary, "slabs")
-			for _, sub := range boundary {
-				if sub.Empty() {
-					continue
+	return runWorld(core.NonblockingOverlap, p, o, func(r *rank) *grid.Field {
+		cs := r.cpuState(1)
+		ex := r.haloExchanger(cs.cur)
+		thirds := stencil.InteriorThirds(cs.cur.N)
+		boundary := stencil.BoundarySlabs(cs.cur.N)
+		whole := stencil.Whole(cs.cur.N)
+		r.timed(func() {
+			for s := 0; s < r.p.Steps; s++ {
+				checkCancelRank(r.o)
+				ex.setStep(s)
+				for dim := 0; dim < 3; dim++ {
+					ph := ex.start(dim)
+					sp := r.span(s, obs.PhaseInterior, "third."+dimNames[dim])
+					cs.compute(thirds[dim])
+					sp.End()
+					ex.finish(ph)
 				}
-				sub := sub
-				rc.team.ParallelFor(stencil.Rows(sub), par.Static, 0, func(lo, hi int) {
-					rc.op.ApplyRows(rc.cur, rc.nxt, sub, lo, hi)
-				})
+				// "The threads compute the boundary points after the
+				// communication."
+				sp := r.span(s, obs.PhaseBoundary, "slabs")
+				for _, sub := range boundary {
+					cs.compute(sub)
+				}
+				sp.End()
+				sp = r.span(s, obs.PhaseCopy, "")
+				cs.commit(whole)
+				sp.End()
 			}
-			sp.End()
-			whole := stencil.Whole(rc.cur.N)
-			sp = rc.span(s, obs.PhaseCopy, "")
-			rc.team.ParallelFor(stencil.Rows(whole), par.Static, 0, func(lo, hi int) {
-				copyRows(rc.nxt, rc.cur, whole, lo, hi)
-			})
-			sp.End()
-		}
+		})
+		r.distributedNorms(cs)
+		return cs.cur
 	})
 }

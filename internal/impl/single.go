@@ -1,9 +1,6 @@
 package impl
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -23,60 +20,75 @@ type singleTask struct{}
 func (singleTask) Kind() core.Kind { return core.SingleTask }
 
 func (singleTask) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	p, err := p.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	o = o.Normalize()
-	if o.Tasks != 1 {
-		o.Tasks = 1 // single task by definition
-	}
-	team := par.NewTeam(o.Threads)
-	defer team.Close()
-	team.SetRecorder(o.Rec, 0)
+	o.Tasks = 1 // single task by definition
+	return runWorld(core.SingleTask, p, o, func(r *rank) *grid.Field {
+		cs := r.cpuState(1)
+		whole := stencil.Whole(cs.cur.N)
+		r.timed(func() {
+			for s := 0; s < r.p.Steps; s++ {
+				checkCancelRank(r.o)
+				// Step 1: periodic halo copy. The three dimension sweeps
+				// are each threaded over their outer loop; keeping them
+				// serialized preserves the corner-propagation order.
+				sp := r.span(s, obs.PhaseHaloUnpack, "periodic")
+				copyPeriodicHalosParallel(r.team, cs.cur)
+				sp.End()
 
-	cur := grid.NewField(p.N, 1)
-	cur.Fill(func(i, j, k int) float64 { return p.InitialValue(i, j, k) })
-	mass0 := cur.InteriorSum()
-	nxt := grid.NewField(p.N, 1)
-	op := opFor(p, cur)
-	whole := stencil.Whole(p.N)
-	rows := stencil.Rows(whole)
+				// Step 2: compute, collapse(2) over the (k, j) loops.
+				sp = r.span(s, obs.PhaseInterior, "whole")
+				cs.compute(whole)
+				sp.End()
 
-	start := time.Now()
-	for s := 0; s < p.Steps; s++ {
-		if err := o.CheckCancel(); err != nil {
-			return nil, fmt.Errorf("impl: run cancelled at step %d: %w", s, err)
-		}
-		// Step 1: periodic halo copy. The three dimension sweeps are each
-		// threaded over their outer loop; keeping them serialized preserves
-		// the corner-propagation order.
-		sp := o.Rec.Begin(0, s, obs.PhaseHaloUnpack, "periodic")
-		copyPeriodicHalosParallel(team, cur)
-		sp.End()
-
-		// Step 2: compute, collapse(2) over the (k, j) loops.
-		sp = o.Rec.Begin(0, s, obs.PhaseInterior, "whole")
-		team.ParallelFor(rows, par.Static, 0, func(lo, hi int) {
-			op.ApplyRows(cur, nxt, whole, lo, hi)
+				// Step 3: copy new state to current state (the paper
+				// copies rather than swapping buffers).
+				sp = r.span(s, obs.PhaseCopy, "")
+				cs.commit(whole)
+				sp.End()
+			}
 		})
-		sp.End()
+		return cs.cur
+	})
+}
 
-		// Step 3: copy new state to current state (the paper copies rather
-		// than swapping buffers).
-		sp = o.Rec.Begin(0, s, obs.PhaseCopy, "")
-		team.ParallelFor(rows, par.Static, 0, func(lo, hi int) {
-			copyRows(nxt, cur, whole, lo, hi)
-		})
-		sp.End()
+// cpuState is a CPU rank's state: the current and next fields over its
+// subdomain, the stencil operator, and the thread team that sweeps them.
+// Every CPU schedule, distributed or not, is built from it.
+type cpuState struct {
+	team     *par.Team
+	cur, nxt *grid.Field
+	op       *stencil.Op
+}
+
+// cpuState allocates the rank's field pair with the given halo width and
+// fills the current field with the initial condition.
+func (r *rank) cpuState(halo int) *cpuState {
+	cur := grid.NewField(r.sub.Size, halo)
+	r.fill(cur)
+	return &cpuState{
+		team: r.team, cur: cur, nxt: grid.NewField(r.sub.Size, halo),
+		op: stencil.NewOp(stencil.TableI(r.p.C, r.p.Nu), cur),
 	}
-	elapsed := time.Since(start)
+}
 
-	res := &core.Result{Kind: core.SingleTask, Final: cur.Clone(), Stats: map[string]float64{
-		"threads": float64(o.Threads),
-	}}
-	finishResult(res, p, o, elapsed, mass0)
-	return res, nil
+// compute applies the stencil to sub of cur, writing nxt, threaded over
+// sub's (k, j) rows.
+func (cs *cpuState) compute(sub grid.Subdomain) {
+	if sub.Empty() {
+		return
+	}
+	cs.team.ParallelFor(stencil.Rows(sub), par.Static, 0, func(lo, hi int) {
+		cs.op.ApplyRows(cs.cur, cs.nxt, sub, lo, hi)
+	})
+}
+
+// commit copies sub of nxt back into cur (the paper's Step 3).
+func (cs *cpuState) commit(sub grid.Subdomain) {
+	if sub.Empty() {
+		return
+	}
+	cs.team.ParallelFor(stencil.Rows(sub), par.Static, 0, func(lo, hi int) {
+		copyRows(cs.nxt, cs.cur, sub, lo, hi)
+	})
 }
 
 // copyRows copies the x-rows of sub with flattened (k, j) indices in

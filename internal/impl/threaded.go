@@ -2,8 +2,8 @@ package impl
 
 import (
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/stencil"
 )
 
@@ -20,40 +20,36 @@ type threadedOverlap struct{}
 func (threadedOverlap) Kind() core.Kind { return core.ThreadedOverlap }
 
 func (threadedOverlap) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	return runMPI(core.ThreadedOverlap, p, o, func(rc rankCtx) {
-		interior := stencil.Interior(rc.cur.N)
-		boundary := stencil.BoundarySlabs(rc.cur.N)
-		rows := stencil.Rows(interior)
-		for s := 0; s < rc.p.Steps; s++ {
-			checkCancelRank(rc.o)
-			rc.ex.setStep(s)
-			// The interior span brackets the whole region: the workers
-			// compute for its entire duration while the master's exchange
-			// spans land inside it — that containment is the overlap.
-			sp := rc.span(s, obs.PhaseInterior, "master+workers")
-			rc.team.RunWithMaster(func() {
-				rc.ex.exchangeAll()
-			}, rows, 1, func(lo, hi int) {
-				rc.op.ApplyRows(rc.cur, rc.nxt, interior, lo, hi)
-			})
-			sp.End()
-			sp = rc.span(s, obs.PhaseBoundary, "slabs")
-			for _, sub := range boundary {
-				if sub.Empty() {
-					continue
-				}
-				sub := sub
-				rc.team.ParallelFor(stencil.Rows(sub), par.Static, 0, func(lo, hi int) {
-					rc.op.ApplyRows(rc.cur, rc.nxt, sub, lo, hi)
+	return runWorld(core.ThreadedOverlap, p, o, func(r *rank) *grid.Field {
+		cs := r.cpuState(1)
+		ex := r.haloExchanger(cs.cur)
+		interior := stencil.Interior(cs.cur.N)
+		boundary := stencil.BoundarySlabs(cs.cur.N)
+		whole := stencil.Whole(cs.cur.N)
+		r.timed(func() {
+			for s := 0; s < r.p.Steps; s++ {
+				checkCancelRank(r.o)
+				ex.setStep(s)
+				// The interior span brackets the whole region: the workers
+				// compute for its entire duration while the master's
+				// exchange spans land inside it — that containment is the
+				// overlap.
+				sp := r.span(s, obs.PhaseInterior, "master+workers")
+				r.team.RunWithMaster(ex.exchangeAll, stencil.Rows(interior), 1, func(lo, hi int) {
+					cs.op.ApplyRows(cs.cur, cs.nxt, interior, lo, hi)
 				})
+				sp.End()
+				sp = r.span(s, obs.PhaseBoundary, "slabs")
+				for _, sub := range boundary {
+					cs.compute(sub)
+				}
+				sp.End()
+				sp = r.span(s, obs.PhaseCopy, "")
+				cs.commit(whole)
+				sp.End()
 			}
-			sp.End()
-			whole := stencil.Whole(rc.cur.N)
-			sp = rc.span(s, obs.PhaseCopy, "")
-			rc.team.ParallelFor(stencil.Rows(whole), par.Static, 0, func(lo, hi int) {
-				copyRows(rc.nxt, rc.cur, whole, lo, hi)
-			})
-			sp.End()
-		}
+		})
+		r.distributedNorms(cs)
+		return cs.cur
 	})
 }

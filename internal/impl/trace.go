@@ -1,6 +1,7 @@
 package impl
 
 import (
+	"maps"
 	"math"
 	"strings"
 
@@ -33,6 +34,22 @@ func poolTraces(pool []*gpusim.Device, o core.Options) []*vtime.Trace {
 		dev.SetTrace(traces[i])
 	}
 	return traces
+}
+
+// deviceStats adds a GPU world's device counters to stats: the pool's
+// kernel and PCIe totals, the slowest rank's virtual time simSec and its
+// simulated throughput, and the merged overlap accounting.
+func deviceStats(stats map[string]float64, pool []*gpusim.Device, traces []*vtime.Trace, p core.Problem, o core.Options, simSec float64) {
+	stats["blockx"], stats["blocky"] = float64(o.BlockX), float64(o.BlockY)
+	for _, dev := range pool {
+		stats["gpu.kernels"] += float64(dev.Kernels)
+		stats["pcie.bytes"] += float64(dev.BytesH2D + dev.BytesD2H)
+	}
+	stats["sim.seconds"] = simSec
+	if simSec > 0 {
+		stats["sim.gf"] = p.Flops() * float64(p.Steps) / simSec / 1e9
+	}
+	maps.Copy(stats, mergedOverlapStats(traces))
 }
 
 // mergedOverlapStats folds every device's overlap accounting into one stats

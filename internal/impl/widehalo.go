@@ -2,15 +2,10 @@ package impl
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/par"
-	"repro/internal/stencil"
 )
 
 func init() {
@@ -32,109 +27,40 @@ type wideHalo struct{}
 func (wideHalo) Kind() core.Kind { return core.WideHaloExt }
 
 func (wideHalo) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	p, err := p.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	o = o.Normalize()
-	if err := checkMPIOptions(p, o); err != nil {
-		return nil, err
-	}
-	W := o.HaloWidth
-	d := grid.NewDecomp(p.N, o.Tasks)
-	for r := 0; r < o.Tasks; r++ {
-		s := d.Sub(r).Size
-		if s.X < W || s.Y < W || s.Z < W {
-			return nil, fmt.Errorf("impl: halo width %d exceeds rank %d subdomain %v", W, r, s)
+	return runWorld(core.WideHaloExt, p, o, func(r *rank) *grid.Field {
+		W, n := r.o.HaloWidth, r.sub.Size
+		if n.X < W || n.Y < W || n.Z < W {
+			panic(fmt.Errorf("impl: halo width %d exceeds subdomain %v", W, n))
 		}
-	}
-	w := mpi.NewWorld(o.Tasks)
-
-	var (
-		mu      sync.Mutex
-		final   *grid.Field
-		elapsed time.Duration
-		msgs    float64
-		values  float64
-	)
-	runErr := safeWorldRun(w, func(c *mpi.Comm) {
-		sub := d.Sub(c.Rank())
-		team := par.NewTeam(o.Threads)
-		defer team.Close()
-		cur := grid.NewField(sub.Size, W)
-		fillLocal(cur, p, sub)
-		nxt := grid.NewField(sub.Size, W)
-		op := opFor(p, cur)
-		ex := newExchanger(c, d, cur)
-		ex.setObs(o.Rec)
-		team.SetRecorder(o.Rec, c.Rank())
-		rank := c.Rank()
-
-		// extended returns the subdomain grown by e points on every side.
-		extended := func(e int) grid.Subdomain {
-			return grid.Subdomain{
-				Lo:   grid.Dims{X: -e, Y: -e, Z: -e},
-				Size: grid.Dims{X: sub.Size.X + 2*e, Y: sub.Size.Y + 2*e, Z: sub.Size.Z + 2*e},
-			}
-		}
-
-		c.Barrier()
-		t0 := time.Now()
-		for done := 0; done < p.Steps; {
-			checkCancelRank(o)
-			// One wide exchange covers the next burst of inner steps.
-			burst := W
-			if p.Steps-done < burst {
-				burst = p.Steps - done
-			}
-			ex.setStep(done)
-			ex.exchangeAll()
-			for k := 0; k < burst; k++ {
-				region := extended(W - 1 - k)
-				if burst < W {
-					// A short final burst still only needs validity to
-					// shrink to the interior on its last step.
-					region = extended(burst - 1 - k)
+		r.extra["halo.width"] = float64(W)
+		cs := r.cpuState(W)
+		ex := r.haloExchanger(cs.cur)
+		r.timed(func() {
+			for s := 0; s < r.p.Steps; s++ {
+				checkCancelRank(r.o)
+				// One wide exchange covers the next burst of up to W inner
+				// steps; inner step k of a burst computes the region
+				// extended by burst-1-k points, so validity shrinks back to
+				// the interior on the burst's last step (a short final
+				// burst included).
+				k := s % W
+				if k == 0 {
+					ex.setStep(s)
+					ex.exchangeAll()
 				}
-				rows := stencil.Rows(region)
-				sp := o.Rec.Begin(rank, done, obs.PhaseInterior, "extended")
-				team.ParallelFor(rows, par.Static, 0, func(lo, hi int) {
-					op.ApplyRows(cur, nxt, region, lo, hi)
-				})
+				e := min(W, r.p.Steps-(s-k)) - 1 - k
+				region := grid.Subdomain{
+					Lo:   grid.Dims{X: -e, Y: -e, Z: -e},
+					Size: grid.Dims{X: n.X + 2*e, Y: n.Y + 2*e, Z: n.Z + 2*e},
+				}
+				sp := r.span(s, obs.PhaseInterior, "extended")
+				cs.compute(region)
 				sp.End()
-				sp = o.Rec.Begin(rank, done, obs.PhaseCopy, "")
-				team.ParallelFor(rows, par.Static, 0, func(lo, hi int) {
-					copyRows(nxt, cur, region, lo, hi)
-				})
+				sp = r.span(s, obs.PhaseCopy, "")
+				cs.commit(region)
 				sp.End()
-				done++
 			}
-		}
-		c.Barrier()
-		dt := time.Since(t0)
-
-		g := gather(c, d, cur)
-		st := c.Stats()
-		mu.Lock()
-		msgs += float64(st.SentMessages)
-		values += float64(st.SentValues)
-		if c.Rank() == 0 {
-			final = g
-			elapsed = dt
-		}
-		mu.Unlock()
+		})
+		return cs.cur
 	})
-	if runErr != nil {
-		return nil, cancelOr(o, runErr)
-	}
-
-	res := &core.Result{Kind: core.WideHaloExt, Final: final, Stats: map[string]float64{
-		"tasks":        float64(o.Tasks),
-		"threads":      float64(o.Threads),
-		"halo.width":   float64(W),
-		"mpi.messages": msgs,
-		"mpi.values":   values,
-	}}
-	finishResult(res, p, o, elapsed, globalMass(p))
-	return res, nil
 }

@@ -90,18 +90,24 @@ func CountFile(path string) (int, error) {
 
 // implFiles maps each implementation to the source files that make it up,
 // mirroring the paper's whole-program accounting: every implementation
-// includes the shared scaffolding it cannot run without.
+// includes the shared scaffolding it cannot run without (world.go, the
+// one world scaffold every runner runs in), and the GPU implementations
+// include the device trace accounting the scaffold reports.
 var implFiles = map[core.Kind][]string{
-	core.SingleTask:         {"impl.go", "single.go"},
-	core.BulkSync:           {"impl.go", "single.go", "exchange.go", "bulk.go"},
-	core.NonblockingOverlap: {"impl.go", "single.go", "exchange.go", "bulk.go", "nonblocking.go"},
-	core.ThreadedOverlap:    {"impl.go", "single.go", "exchange.go", "bulk.go", "threaded.go"},
-	core.GPUResident:        {"impl.go", "single.go", "gpu.go", "gpuresident.go"},
-	core.GPUBulkSync:        {"impl.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "gpumpi.go", "gpubulk.go"},
-	core.GPUStreams:         {"impl.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "gpumpi.go", "gpubulk.go"},
-	core.HybridBulkSync:     {"impl.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "hybrid.go"},
-	core.HybridOverlap:      {"impl.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "hybrid.go"},
+	core.SingleTask:         {"impl.go", "world.go", "single.go"},
+	core.BulkSync:           {"impl.go", "world.go", "single.go", "exchange.go", "bulk.go"},
+	core.NonblockingOverlap: {"impl.go", "world.go", "single.go", "exchange.go", "bulk.go", "nonblocking.go"},
+	core.ThreadedOverlap:    {"impl.go", "world.go", "single.go", "exchange.go", "bulk.go", "threaded.go"},
+	core.GPUResident:        {"impl.go", "world.go", "single.go", "gpu.go", "gpuresident.go", "trace.go"},
+	core.GPUBulkSync:        {"impl.go", "world.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "trace.go", "gpubulk.go"},
+	core.GPUStreams:         {"impl.go", "world.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "trace.go", "gpubulk.go"},
+	core.HybridBulkSync:     {"impl.go", "world.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "trace.go", "hybrid.go"},
+	core.HybridOverlap:      {"impl.go", "world.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "trace.go", "hybrid.go"},
 }
+
+// extensionFiles are the implementation sources of this reproduction's
+// extensions, which Figure 2 does not count.
+var extensionFiles = []string{"widehalo.go"}
 
 // implDir locates this repository's internal/impl source directory.
 func implDir() (string, error) {
@@ -143,17 +149,18 @@ type Row struct {
 	Kind       core.Kind
 	Paper      int  // the paper's Fortran count
 	PaperExact bool // whether the text states the number
-	Ours       int  // this reproduction's Go count (0 if unavailable)
+	Ours       int  // this reproduction's Go count
 }
 
-// Figure2 returns all nine rows in paper order.
+// Figure2 returns all nine rows in paper order. It fails if a mapped
+// implementation file cannot be counted.
 func Figure2() ([]Row, error) {
 	var rows []Row
 	for _, k := range core.Kinds() {
 		p, exact := PaperLoC(k)
 		ours, err := OursLoC(k)
 		if err != nil {
-			ours = 0
+			return nil, err
 		}
 		rows = append(rows, Row{Kind: k, Paper: p, PaperExact: exact, Ours: ours})
 	}

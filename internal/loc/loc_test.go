@@ -2,6 +2,8 @@ package loc
 
 import (
 	"bufio"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -104,10 +106,13 @@ end program
 }
 
 func TestOursLoCCounts(t *testing.T) {
+	if _, err := implDir(); err != nil {
+		t.Skipf("source tree not available: %v", err)
+	}
 	for _, k := range core.Kinds() {
 		n, err := OursLoC(k)
 		if err != nil {
-			t.Skipf("source tree not available: %v", err)
+			t.Fatal(err)
 		}
 		if n < 50 {
 			t.Fatalf("%v: suspiciously few lines (%d)", k, n)
@@ -143,5 +148,51 @@ func TestFigure2Rows(t *testing.T) {
 func TestCountFileMissing(t *testing.T) {
 	if _, err := CountFile("/nonexistent/file.go"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestEveryImplFileCounted fails when an implementation source is added,
+// renamed or removed without updating the Figure 2 file map: every
+// non-test Go file in internal/impl must belong to some implementation or
+// be a listed extension, and every mapped file must exist.
+func TestEveryImplFileCounted(t *testing.T) {
+	dir, err := implDir()
+	if err != nil {
+		t.Skipf("source tree not available: %v", err)
+	}
+	mapped := map[string]bool{}
+	for _, f := range extensionFiles {
+		mapped[f] = true
+	}
+	for _, files := range implFiles {
+		for _, f := range files {
+			mapped[f] = true
+		}
+	}
+	for f := range mapped {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Errorf("mapped file %s: %v", f, err)
+		}
+	}
+	srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range srcs {
+		if f := filepath.Base(src); !strings.HasSuffix(f, "_test.go") && !mapped[f] {
+			t.Errorf("%s is in no implementation's file list", f)
+		}
+	}
+}
+
+func TestFigure2FailsOnMissingFile(t *testing.T) {
+	if _, err := implDir(); err != nil {
+		t.Skipf("source tree not available: %v", err)
+	}
+	saved := implFiles[core.SingleTask]
+	implFiles[core.SingleTask] = append(saved[:len(saved):len(saved)], "no_such_file.go")
+	defer func() { implFiles[core.SingleTask] = saved }()
+	if _, err := Figure2(); err == nil {
+		t.Fatal("Figure2 hid a missing implementation file")
 	}
 }

@@ -84,6 +84,17 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
+// SubmitStatus is the HTTP status of an accepted submission: 200 when
+// the result was served from the cache, 202 for a fresh job. It is
+// decided by the cache lookup alone, so a fresh job that happens to
+// finish before the response is written still answers 202.
+func SubmitStatus(v View) int {
+	if v.CacheHit {
+		return http.StatusOK
+	}
+	return http.StatusAccepted
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	dec := json.NewDecoder(r.Body)
@@ -101,11 +112,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.SubmitTraced(req, tc)
 	switch {
 	case err == nil:
-		status := http.StatusAccepted
-		if j.State() == StateDone { // served from the result cache
-			status = http.StatusOK
-		}
-		writeJSON(w, status, j.View())
+		v := j.View()
+		writeJSON(w, SubmitStatus(v), v)
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter().Seconds()+0.5)))
 		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: err.Error()})
